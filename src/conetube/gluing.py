@@ -8,8 +8,18 @@ equations,
     (1-z1)(1-z2)(1-z3)(1-z4) = z1 z2 z3 z4,
 
 with the complete structure at ``z1 = z2 = z3 = z4 = (1+i)/2``. Near that
-point ``(z1, z2)`` is a chart: given ``(u, v)`` the remaining pair
-``(z3, z4)`` is recovered by Newton continuation from the base solution.
+point ``(z1, z2) = (u, v)`` is a chart, and the remaining pair is closed
+form: with ``a = 1-u``, ``b = 1-v`` and ``w = 1-z3`` the first equation gives
+``z4 = 1 - b w / a``, and the second becomes the quadratic (ab - uv = 1-u-v)
+
+    b (1-u-v) w^2 + u v (a+b) w - u v a = 0.
+
+Its two roots are ``(-B +- sqrt(disc)) / 2A``. The root is fixed by the
+sheet of ``sqrt(disc)``: it is continued with ``continue_sqrt`` along the
+straight chart segment from the base, where the base root has
+``w = (1-i)/2``, and a hop the anchor refuses is split in two. So a chart
+point has one solution whatever was solved before it, and the nearest
+root is never taken.
 
 Cusp meridian/longitude eigenvalues are square-root expressions in the
 shapes. Both cusps have eigenvalue -1 at the base, and every square root is
@@ -21,14 +31,19 @@ from __future__ import annotations
 
 import dataclasses
 
-from .config import TOLERANCES, ensure_finite
+from .config import ensure_finite
 from .jets import BranchError, continue_sqrt
 
 BASE_SHAPE = complex(0.5, 0.5)
 CHART_RADIUS = 0.35
-MAX_CONTINUATION_STEPS = 16
-_NEWTON_ITERATIONS = 30
 _DEGENERATE_TOL = 1e-8
+# sqrt of the quadratic's discriminant at the base: its root is w = (1-i)/2
+_BASE_DISC = -0.5j
+_BASE_DISC_SQRT = complex(-0.5, 0.5)
+# the discriminant walk starts with this many hops along the segment, and
+# gives up once a hop would be shorter than _MIN_HOP of it
+_SEGMENT_HOPS = 2
+_MIN_HOP = 2.0**-20
 
 
 class GluingError(ValueError):
@@ -63,42 +78,34 @@ def residuals(s: TetShapes) -> tuple[complex, complex]:
     return r1, r2
 
 
-def _jacobian_z34(s: TetShapes) -> tuple[complex, complex, complex, complex]:
-    """d(r1, r2)/d(z3, z4), row-major."""
-    z1, z2, z3, z4 = s.as_tuple()
-    a = 1 - z2
-    b = -(1 - z1)
-    c = -(1 - z1) * (1 - z2) * (1 - z4) - z1 * z2 * z4
-    d = -(1 - z1) * (1 - z2) * (1 - z3) - z1 * z2 * z3
-    return a, b, c, d
+def _quadratic(u: complex, v: complex) -> tuple[complex, complex, complex]:
+    """Coefficients (A, B, C) of A w^2 + B w + C = 0 for w = 1 - z3."""
+    uv = u * v
+    return (1 - v) * (1 - u - v), uv * (2 - u - v), -uv * (1 - u)
 
 
-def _newton_z34(u: complex, v: complex, z3: complex, z4: complex) -> tuple[complex, complex]:
-    tol = TOLERANCES.newton
-    polished = False
-    for _ in range(_NEWTON_ITERATIONS):
-        s = TetShapes(u, v, z3, z4)
-        r1, r2 = residuals(s)
-        if polished:
-            return z3, z4
-        a, b, c, d = _jacobian_z34(s)
-        det = a * d - b * c
-        if abs(det) < 1e-14:
-            raise GluingError("singular chart Jacobian; point is outside the chart")
-        dz3 = (-r1 * d + r2 * b) / det
-        dz4 = (r1 * c - r2 * a) / det
-        z3 += dz3
-        z4 += dz4
-        if abs(z3) > 10 or abs(z4) > 10:
-            raise GluingError("Newton iterate escaped; point is outside the chart")
-        if max(abs(r1), abs(r2)) < tol:
-            # one extra step so downstream finite differences see ~eps noise
-            polished = True
-    raise GluingError("Newton failed to converge on the gluing variety")
+def _continued_disc_sqrt(u: complex, v: complex) -> complex:
+    """sqrt(disc) at (u, v), continued along the chart segment from the base."""
+    du, dv = u - BASE_SHAPE, v - BASE_SHAPE
+    t, arg, value = 0.0, _BASE_DISC, _BASE_DISC_SQRT
+    hop = 1.0 / _SEGMENT_HOPS
+    while t < 1.0:
+        nxt = min(1.0, t + hop)
+        qa, qb, qc = _quadratic(BASE_SHAPE + nxt * du, BASE_SHAPE + nxt * dv)
+        disc = qb * qb - 4 * qa * qc
+        try:
+            value = continue_sqrt(disc, arg, value)
+        except BranchError as exc:
+            hop /= 2.0
+            if hop < _MIN_HOP:
+                raise GluingError(f"discriminant branch lost on the chart segment: {exc}") from exc
+            continue
+        t, arg = nxt, disc
+    return value
 
 
 def solve_shapes(u: complex, v: complex) -> TetShapes:
-    """Solve the chart point (z1, z2) = (u, v), continuing from the base."""
+    """Solve the chart point (z1, z2) = (u, v) on the sheet continued from the base."""
     u, v = complex(u), complex(v)
     ensure_finite(u, v)
     radius = max(abs(u - BASE_SHAPE), abs(v - BASE_SHAPE))
@@ -106,25 +113,28 @@ def solve_shapes(u: complex, v: complex) -> TetShapes:
         raise GluingError(
             f"chart coordinate {radius:.3f} from base exceeds radius {CHART_RADIUS}"
         )
-    z3, z4 = BASE_SHAPE, BASE_SHAPE
-    t, step = 0.0, 1.0
-    solves = 0
-    while t < 1.0:
-        target = min(1.0, t + step)
-        ut = BASE_SHAPE + target * (u - BASE_SHAPE)
-        vt = BASE_SHAPE + target * (v - BASE_SHAPE)
-        solves += 1
-        if solves > MAX_CONTINUATION_STEPS:
-            raise GluingError("continuation exceeded step budget")
-        try:
-            z3, z4 = _newton_z34(ut, vt, z3, z4)
-        except GluingError:
-            if step < 1.0 / MAX_CONTINUATION_STEPS:
-                raise
-            step /= 2.0
-            continue
-        t = target
-    return TetShapes(u, v, z3, z4).check_nondegenerate()
+    qa, qb, qc = _quadratic(u, v)
+    root = _continued_disc_sqrt(u, v)
+    # (-B + root) / 2A and 2C / (-B - root) are the same root; divide by
+    # the larger of -B +- root so that neither cancels
+    plus, minus = root - qb, -root - qb
+    w = plus / (2 * qa) if abs(plus) >= abs(minus) else 2 * qc / minus
+    z4 = 1 - (1 - v) * w / (1 - u)
+    return TetShapes(u, v, 1 - w, z4).check_nondegenerate()
+
+
+def _shape_derivatives(s: TetShapes) -> tuple[complex, complex, complex, complex]:
+    """(dz3/du, dz3/dv, dz4/du, dz4/dv) on the variety, by implicit differentiation."""
+    u, v, z3, z4 = s.as_tuple()
+    qa, qb, _ = _quadratic(u, v)
+    w, a, b = 1 - z3, 1 - u, 1 - v
+    # F(w, u, v) = A w^2 + B w + C; dw = -(dF/du du + dF/dv dv) / (dF/dw)
+    f_w = 2 * qa * w + qb
+    f_u = -b * w * w + v * (2 - 2 * u - v) * w - v * (1 - 2 * u)
+    f_v = -(2 - u - 2 * v) * w * w + u * (2 - u - 2 * v) * w - u * a
+    w_u, w_v = -f_u / f_w, -f_v / f_w
+    # z4 = 1 - b w / a
+    return -w_u, -w_v, -b * (a * w_u + w) / (a * a), (w - b * w_v) / a
 
 
 @dataclasses.dataclass
@@ -156,6 +166,33 @@ def sqrt_arguments(s: TetShapes) -> tuple[complex, complex, complex, complex]:
         (1 - z2) / (1 - z1),
         z2 * z4 / (z1 * z3),
     )
+
+
+def log_eigenvalue_gradients(
+    s: TetShapes,
+) -> tuple[tuple[complex, complex], ...]:
+    """(d/du, d/dv) of log(-m1), log(-l1), log(-m2), log(-l2) on the variety.
+
+    The chain rule through the forms of ``cusp_eigenvalues``:
+    log(-m1) = 1/2 log((1-z4)/(1-z2)),
+    log(-l1) = log((1-z4)/(1-z2)) + 1/2 log(z3 z4 / (z1 z2)), and the same
+    with (1-z2)/(1-z1) and z2 z4 / (z1 z3) for the second cusp. Branches
+    do not enter: the derivative of a log is the same on every sheet.
+    """
+    z1, z2, z3, z4 = s.as_tuple()
+    z3u, z3v, z4u, z4v = _shape_derivatives(s)
+    rows = []
+    for d1, d2, d3, d4 in ((1.0, 0.0, z3u, z4u), (0.0, 1.0, z3v, z4v)):
+        dlog1, dlog2, dlog3, dlog4 = d1 / z1, d2 / z2, d3 / z3, d4 / z4
+        ratio1 = d2 / (1 - z2) - d4 / (1 - z4)  # d log((1-z4)/(1-z2))
+        ratio2 = d1 / (1 - z1) - d2 / (1 - z2)  # d log((1-z2)/(1-z1))
+        rows.append((
+            ratio1 / 2,
+            ratio1 + (dlog3 + dlog4 - dlog1 - dlog2) / 2,
+            ratio2 / 2,
+            ratio2 + (dlog2 + dlog4 - dlog1 - dlog3) / 2,
+        ))
+    return tuple(zip(*rows))
 
 
 def cusp_eigenvalues(

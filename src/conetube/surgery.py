@@ -11,9 +11,16 @@ first cusp is either unfilled (m1 = -1) or filled with its own slope
 ``cone_expansion`` produces the order-3 theta-jets of (m2, l2) on a given
 geometric curve, in the closed form valid when the curve satisfies the
 involution constraint a2 = a1 - a1^2. ``solve_cone_structure`` solves the
-same relations numerically on the gluing-variety chart by Newton
-continuation, providing the end-to-end check and the filled-curve samplers
-used for the convergence experiment.
+same relations numerically on the gluing-variety chart, providing the
+end-to-end check and the filled-curve samplers used for the convergence
+experiment.
+
+Each relation is affine in (m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)),
+so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
+those six quantities (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
+A parameter (the first cusp's 2 pi i target, then theta) is continued with
+a step that doubles after each accepted Newton solve and halves after each
+refused one. Branch anchors move only on accepted steps.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .gluing import (
     GluingError,
     TetShapes,
     cusp_eigenvalues,
+    log_eigenvalue_gradients,
     solve_shapes,
 )
 from .jets import Jet, variable, continue_log, BranchError
@@ -41,7 +49,6 @@ _THETA_STEP = 0.01
 _THETA_STEP_MIN = 1e-4
 _TAU_STEP = 0.25
 _TAU_STEP_MIN = 1.0 / 256.0
-_FD_STEP = 1e-6
 _NEWTON_MAX_ITER = 25
 
 
@@ -197,6 +204,56 @@ class VarietyPoint:
     log_l2: complex
 
 
+def _coordinates(pt: VarietyPoint) -> tuple[complex, ...]:
+    """(m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)): what residuals read."""
+    ev = pt.eigenvalues
+    return (ev.m1, ev.m2, pt.log_m1, pt.log_l1, pt.log_m2, pt.log_l2)
+
+
+def _gradients(pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
+    """(d/du, d/dv) of each of ``_coordinates(pt)``; dm = m dlog(-m)."""
+    lm1, ll1, lm2, ll2 = log_eigenvalue_gradients(pt.shapes)
+    m1, m2 = pt.eigenvalues.m1, pt.eigenvalues.m2
+    return ((m1 * lm1[0], m1 * lm1[1]), (m2 * lm2[0], m2 * lm2[1]), lm1, ll1, lm2, ll2)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Affine:
+    """The residual sum(c_k x_k) + const over x = _coordinates(pt)."""
+
+    coeffs: tuple[complex, ...]
+    const: complex
+
+    def value(self, x: tuple[complex, ...]) -> complex:
+        return sum(c * xk for c, xk in zip(self.coeffs, x)) + self.const
+
+    def gradient(self, grads: tuple[tuple[complex, complex], ...]) -> tuple[complex, complex]:
+        return (
+            sum(c * g[0] for c, g in zip(self.coeffs, grads)),
+            sum(c * g[1] for c, g in zip(self.coeffs, grads)),
+        )
+
+
+# a residual pair for the chart Newton
+_Residual = tuple[_Affine, _Affine]
+
+
+def _jacobian(residual: _Residual, pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
+    """Exact d(residual)/d(u, v) at pt, row-major."""
+    grads = _gradients(pt)
+    return residual[0].gradient(grads), residual[1].gradient(grads)
+
+
+def _pinned_meridian(shift: complex) -> _Affine:
+    """m2 + 1 - shift."""
+    return _Affine((0, 1, 0, 0, 0, 0), 1.0 - shift)
+
+
+def _second_cusp_residual(slope2: Slope, theta: float) -> _Affine:
+    """p2 log(-m2) + q2 log(-l2) - i theta / 2."""
+    return _Affine((0, 0, 0, 0, slope2.p, slope2.q), -0.5j * theta)
+
+
 @dataclasses.dataclass(frozen=True)
 class SolvedStructure:
     point: VarietyPoint
@@ -205,21 +262,11 @@ class SolvedStructure:
     theta: float
 
     def filling_residuals(self) -> tuple[complex, complex]:
-        pt = self.point
-        if self.slope1 is None:
-            first = pt.eigenvalues.m1 + 1.0
-        else:
-            first = (
-                self.slope1.p * pt.log_m1
-                + self.slope1.q * pt.log_l1
-                - 1j * math.pi
-            )
-        second = (
-            self.slope2.p * pt.log_m2
-            + self.slope2.q * pt.log_l2
-            - 0.5j * self.theta
+        x = _coordinates(self.point)
+        return (
+            _first_cusp_residual(self.slope1, 1.0).value(x),
+            _second_cusp_residual(self.slope2, self.theta).value(x),
         )
-        return first, second
 
 
 class _ChartWalker:
@@ -259,30 +306,21 @@ class _ChartWalker:
             log_m1=lm1, log_l1=ll1, log_m2=lm2, log_l2=ll2,
         )
 
-    def newton(
-        self, residual: Callable[[VarietyPoint], tuple[complex, complex]]
-    ) -> VarietyPoint:
+    def newton(self, residual: _Residual) -> VarietyPoint:
         """Solve residual = 0 from the current committed point."""
         u, v = self.u, self.v
         tol = TOLERANCES.newton
         polish = False
         for _ in range(_NEWTON_MAX_ITER):
             pt = self.evaluate(u, v)
-            f1, f2 = residual(pt)
+            x = _coordinates(pt)
+            f1, f2 = residual[0].value(x), residual[1].value(x)
             if polish or max(abs(f1), abs(f2)) < tol:
                 if polish:
                     self.evaluate(u, v, commit=True)
                     return pt
                 polish = True
-            h = _FD_STEP
-            fu1, fu2 = residual(self.evaluate(u + h, v))
-            gu1, gu2 = residual(self.evaluate(u - h, v))
-            fv1, fv2 = residual(self.evaluate(u, v + h))
-            gv1, gv2 = residual(self.evaluate(u, v - h))
-            j11 = (fu1 - gu1) / (2 * h)
-            j21 = (fu2 - gu2) / (2 * h)
-            j12 = (fv1 - gv1) / (2 * h)
-            j22 = (fv2 - gv2) / (2 * h)
+            (j11, j12), (j21, j22) = _jacobian(residual, pt)
             det = j11 * j22 - j12 * j21
             if abs(det) < 1e-14:
                 raise SurgeryError("filling Jacobian is singular")
@@ -291,20 +329,25 @@ class _ChartWalker:
         raise SurgeryError("filling Newton failed to converge")
 
 
-def _first_cusp_residual(slope1: Slope | None, tau: float) -> Callable:
+def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Affine:
+    """m1 + 1 unfilled; p1 log(-m1) + q1 log(-l1) - tau pi i filled."""
     if slope1 is None:
-        return lambda pt: pt.eigenvalues.m1 + 1.0
-    return lambda pt: slope1.p * pt.log_m1 + slope1.q * pt.log_l1 - tau * 1j * math.pi
+        return _Affine((1, 0, 0, 0, 0, 0), 1.0)
+    return _Affine((0, 0, slope1.p, slope1.q, 0, 0), -tau * 1j * math.pi)
 
 
 def _continue_parameter(
     walker: _ChartWalker,
-    make_residual: Callable[[float], Callable],
+    make_residual: Callable[[float], _Residual],
     target: float,
     step: float,
     min_step: float,
 ) -> VarietyPoint:
-    """March a scalar parameter to target, halving the step on failure."""
+    """March a scalar parameter to target.
+
+    The step doubles after each accepted Newton solve and halves after each
+    refused one; below min_step the refusal is raised.
+    """
     t = 0.0
     pt = walker.evaluate(walker.u, walker.v)
     while t < target:
@@ -321,6 +364,7 @@ def _continue_parameter(
                 raise
             continue
         t = nxt
+        step *= 2.0
     return pt
 
 
@@ -328,9 +372,8 @@ def _filled_base_walker(slope1: Slope) -> _ChartWalker:
     """Continue the first-cusp relation from the complete structure to pi*i."""
     walker = _ChartWalker()
 
-    def residual_at(tau: float) -> Callable:
-        first = _first_cusp_residual(slope1, tau)
-        return lambda pt: (first(pt), pt.eigenvalues.m2 + 1.0)
+    def residual_at(tau: float) -> _Residual:
+        return _first_cusp_residual(slope1, tau), _pinned_meridian(0.0)
 
     _continue_parameter(walker, residual_at, 1.0, _TAU_STEP, _TAU_STEP_MIN)
     return walker
@@ -344,7 +387,7 @@ def solve_cone_structure(
     slope1 None leaves the first cusp complete (m1 = -1); otherwise the
     first cusp carries the 2*pi relation p1 log(-m1) + q1 log(-l1) = pi i.
     Reached by continuation: first in the first-cusp relation, then in
-    theta with step halving.
+    theta, each with a step that doubles on success and halves on failure.
     """
     theta = float(theta)
     if not 0.0 <= theta <= THETA_MAX:
@@ -352,11 +395,8 @@ def solve_cone_structure(
     walker = _ChartWalker() if slope1 is None else _filled_base_walker(slope1)
     first = _first_cusp_residual(slope1, 1.0)
 
-    def residual_at(th: float) -> Callable:
-        return lambda pt: (
-            first(pt),
-            slope2.p * pt.log_m2 + slope2.q * pt.log_l2 - 0.5j * th,
-        )
+    def residual_at(th: float) -> _Residual:
+        return first, _second_cusp_residual(slope2, th)
 
     if theta == 0.0 and slope1 is None:
         pt = walker.evaluate(walker.u, walker.v)
@@ -371,14 +411,12 @@ def solve_cone_structure(
     return structure
 
 
-def _meridian_pinned_sampler(base: _ChartWalker, first: Callable) -> Callable:
+def _meridian_pinned_sampler(base: _ChartWalker, first: _Affine) -> Callable:
     """Sampler s -> (m2, l2) solving {first-cusp relation, m2 = -1 + s}."""
 
     def sample(s: complex) -> tuple[complex, complex]:
         walker = base.clone()
-        pt = walker.newton(
-            lambda pt: (first(pt), pt.eigenvalues.m2 + 1.0 - s)
-        )
+        pt = walker.newton((first, _pinned_meridian(s)))
         return pt.eigenvalues.m2, pt.eigenvalues.l2
 
     return sample

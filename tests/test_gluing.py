@@ -14,6 +14,7 @@ from conetube import (
     solve_shapes,
 )
 from conetube.gluing import CHART_RADIUS, sqrt_arguments
+from conetube.jets import sqrt_along_path
 
 BASE = 0.5 + 0.5j
 
@@ -56,6 +57,33 @@ def test_solution_is_path_independent():
     again = solve_shapes(u, v)
     assert abs(direct.z3 - again.z3) < 1e-10
     assert abs(direct.z4 - again.z4) < 1e-10
+
+
+def test_root_follows_discriminant_sheet_to_chart_edge():
+    # Near the chart edge a Newton solve from the base shapes lands on the
+    # other root of the z3 quadratic (z3 = 0.4309-0.2476i). The reference
+    # continues sqrt(disc) along a fine subdivision of the straight chart
+    # segment from the base.
+    u, v = 0.395 + 0.214j, 0.577 + 0.179j
+
+    def coefficients(t):
+        uu, vv = BASE + t * (u - BASE), BASE + t * (v - BASE)
+        a, b = 1 - uu, 1 - vv
+        return b * (a * b - uu * vv), uu * vv * (a + b), -uu * vv * a
+
+    def disc(t):
+        qa, qb, qc = coefficients(t)
+        return qb * qb - 4 * qa * qc
+
+    base_root = -0.5 + 0.5j
+    assert abs(base_root**2 - disc(0.0)) < 1e-15
+    root = sqrt_along_path([disc(k / 2000) for k in range(2001)], base_root)
+    qa, qb, _ = coefficients(1.0)
+    z3_ref = 1 - (-qb + root) / (2 * qa)
+    s = solve_shapes(u, v)
+    assert abs(s.z3 - z3_ref) < 1e-12
+    assert abs(s.z3 - (0.4303 + 1.4424j)) < 1e-4
+    assert max(abs(r) for r in residuals(s)) < 1e-13
 
 
 def test_chart_radius_guard():

@@ -13,12 +13,21 @@ from conetube import (
     cone_expansion,
     compose,
     convergence_table,
+    expand_from_samples,
     filled_curve_sampler,
     jet_log,
     solve_cone_structure,
     variable,
 )
 from conetube.holonomy import RepresentationFamily, cusp_relation_residuals, y_from_l2
+from conetube.surgery import (
+    _ChartWalker,
+    _coordinates,
+    _first_cusp_residual,
+    _jacobian,
+    _pinned_meridian,
+    _second_cusp_residual,
+)
 from tests.conftest import A1, A2, A3
 
 
@@ -188,3 +197,50 @@ def test_convergence_rows(poly_curve):
         assert all(math.isfinite(e) for e in row.errors)
     assert rows[1].errors[0] < rows[0].errors[0]
     assert rows[2].errors[0] < 1e-6
+
+
+def test_filled_sampler_near_chart_edge():
+    # the filled base point of (-7, 2) lies where a Newton gluing solve from
+    # the base used to land on the other root and lose the eigenvalue branch
+    curve = expand_from_samples(filled_curve_sampler(Slope.make(-7, 2)), -1, -1)
+    assert abs(curve.involution_defect()) < 1e-6
+
+
+def test_filled_structure_near_chart_edge():
+    st = solve_cone_structure(Slope.make(-6, 1), Slope.make(2, 1), 0.0874)
+    r1, r2 = st.filling_residuals()
+    assert abs(r1) < 1e-12 and abs(r2) < 1e-12
+
+
+def _central_jacobian(walker, residual, u, v, h=1e-6):
+    """d(residual)/d(u, v) by central differences: the residuals are holomorphic."""
+
+    def value(uu, vv):
+        x = _coordinates(walker.evaluate(uu, vv))
+        return [form.value(x) for form in residual]
+
+    du = [(a - b) / (2 * h) for a, b in zip(value(u + h, v), value(u - h, v))]
+    dv = [(a - b) / (2 * h) for a, b in zip(value(u, v + h), value(u, v - h))]
+    return np.array([[du[0], dv[0]], [du[1], dv[1]]])
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [
+        (_first_cusp_residual(None, 1.0), _second_cusp_residual(Slope.make(3, -2), 0.2)),
+        (_first_cusp_residual(Slope.make(9, 1), 1.0), _second_cusp_residual(Slope.make(1, 1), 0.1)),
+        (_first_cusp_residual(Slope.make(-7, 2), 0.5), _pinned_meridian(0.01 + 0.02j)),
+    ],
+    ids=["unfilled", "filled", "pinned"],
+)
+def test_exact_jacobian_matches_central_differences(residual):
+    base = 0.5 + 0.5j
+    rng = np.random.default_rng(31)
+    for _ in range(6):
+        u, v = base + rng.uniform(-0.2, 0.2, 4).view(np.complex128)
+        walker = _ChartWalker()
+        for k in range(1, 9):  # commit anchors along the segment from the base
+            walker.evaluate(base + k / 8 * (u - base), base + k / 8 * (v - base), commit=True)
+        exact = np.array(_jacobian(residual, walker.evaluate(u, v)))
+        reference = _central_jacobian(walker, residual, u, v)
+        assert np.abs(exact - reference).max() <= 1e-7 * np.abs(reference).max()
