@@ -8,8 +8,8 @@ _re/_im columns in CSV; all floats print in round-trip precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -53,6 +53,7 @@ from .surgery import (
 from .tube import (
     TubeError,
     k_expansion_closed_form,
+    k_expansions,
     measure_tube,
     whitehead_k_reference,
 )
@@ -93,21 +94,26 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write(args, payload: dict, header: list[str], rows: list[list]) -> None:
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        text = buf.getvalue()
+@contextlib.contextmanager
+def _output_stream(args):
     if args.output:
         with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(args, payload: dict, header: list[str], rows: list[list]) -> None:
+    """Serialize straight to the output stream; no whole-text copy is built."""
+    with _output_stream(args) as fh:
+        if args.format == "json":
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(v) for v in row])
 
 
 def _slope_or_exit(parser: _Parser, p: int, q: int, which: str) -> Slope:
@@ -267,11 +273,11 @@ def cmd_k1scan(args, parser: _Parser) -> int:
     if args.max < 1:
         parser.error("--max must be at least 1")
     curve, method, slope1 = _curve_for(args, parser)
-    curve = curve.symmetrized()
-    entries = []
-    for p, q in _coprime_slopes(args.max):
-        k = k_expansion_closed_form(curve, Slope.make(p, q))
-        entries.append({"p2": p, "q2": q, "k0": k.k0, "k1": k.k1})
+    slopes = [Slope.make(p, q) for p, q in _coprime_slopes(args.max)]
+    entries = [
+        {"p2": k.slope2.p, "q2": k.slope2.q, "k0": k.k0, "k1": k.k1}
+        for k in k_expansions(curve.symmetrized(), slopes)
+    ]
     payload = {
         "command": "k1scan",
         "curve_method": method,

@@ -23,6 +23,8 @@ import dataclasses
 import json
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .config import TOLERANCES
 from .jets import Jet, compose, constant, reversion, variable
 
@@ -168,12 +170,12 @@ def figure_eight_a_polynomial() -> BivariatePolynomial:
 
 def _branch_coefficients(
     poly: BivariatePolynomial, m0: int, l0: int, c1: complex, c2: complex, c3: complex
-) -> tuple[complex, ...]:
+) -> list[complex]:
     """Coefficients of A(l(m), m) in dm through order 4."""
     d = variable("dm", 4)
     m_jet = m0 + d
     l_jet = l0 + c1 * d + c2 * d**2 + c3 * d**3
-    return poly.evaluate_jets(l_jet, m_jet).coeffs
+    return poly.evaluate_jets(l_jet, m_jet).coeffs.tolist()
 
 
 def expand_from_polynomial(
@@ -278,9 +280,9 @@ def _richardson_jets(
     jets = [_stencil_jet(values, base, h, var) for h in radii]
     extrap = []
     for a, b in zip(jets, jets[1:]):
-        extrap.append(Jet(tuple((16.0 * y - x) / 15.0 for x, y in zip(a, b)), var))
+        extrap.append(Jet((16.0 * b.coeffs - a.coeffs) / 15.0, var))
     last, prev = extrap[-1], extrap[-2]
-    gap = max(abs(x - y) for x, y in zip(last, prev))
+    gap = float(np.abs(last.coeffs - prev.coeffs).max())
     if gap > TOLERANCES.sample_agreement:
         raise CurveError(f"stencil estimates disagree by {gap:.3e}")
     return last
@@ -312,11 +314,5 @@ def expand_from_samples(
     if abs(m_jet[1]) < 1e-6:
         raise CurveError("degenerate linear term: dm/ds vanishes at 0")
     s_of_dm = reversion(m_jet - m0).rename("dm")
-    branch = compose(l_jet - l0, s_of_dm)
-    return GeometricCurve(
-        m0=m0,
-        l0=l0,
-        a1=branch[1],
-        a2=2.0 * branch[2],
-        a3=6.0 * branch[3],
-    )
+    _, b1, b2, b3 = compose(l_jet - l0, s_of_dm).coeffs.tolist()
+    return GeometricCurve(m0=m0, l0=l0, a1=b1, a2=2.0 * b2, a3=6.0 * b3)

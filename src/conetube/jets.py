@@ -6,6 +6,16 @@ truncation order are unknown rather than zero, so arithmetic truncates every
 result to the shortest operand, the same convention as any power-series
 calculus.
 
+Coefficients are stored as one complex128 array of shape ``(..., k+1)``: the
+last axis runs over the powers of the variable and any leading axes index a
+batch of series. An unbatched jet has shape ``(k+1,)``; a batch of N series
+has shape ``(N, k+1)``. Every operator and helper broadcasts over the
+leading axes by numpy's rules, so a batch combines row by row with another
+batch, an unbatched jet acts as the same series in every row, and a plain
+number or an array of the batch's shape acts as a constant series (one
+constant per row). Branch values passed to ``jet_sqrt`` and ``jet_log``
+broadcast the same way.
+
 Two things distinguish this implementation from a generic power-series
 class and both exist because downstream code analytically continues around
 branch points:
@@ -17,6 +27,13 @@ branch points:
   ``sqrt_along_path``, ``log_along_path``) carry a branch along a path of
   arguments, refusing steps large enough to be ambiguous.
 
+Every guard (a branch value that does not match ``c0``, division by a series
+with zero constant term, a declared leading power whose coefficients do not
+vanish, a stray imaginary part in ``real_modulus_jet``) runs on every row,
+with the same threshold as for one series. One failing row refuses the whole
+batch: the ``JetError`` names the first failing row in its message and in
+its ``row`` attribute. Every constructed jet is checked to be finite.
+
 Leading powers of the variable are moved explicitly with ``shift_down`` and
 ``shift_up``; ``real_modulus_jet`` expands ``|f(t)|`` for real ``t`` given
 the declared leading power of ``f``.
@@ -25,139 +42,221 @@ the declared leading power of ``f``.
 from __future__ import annotations
 
 import cmath
-import dataclasses
-from typing import Callable, Iterable, Sequence
+import math
+from typing import Callable, Sequence
 
-from .config import ensure_finite
+import numpy as np
 
 MAX_ORDER = 4
 
 
 class JetError(ValueError):
-    pass
+    """A jet guard refused its input.
+
+    ``row`` is the batch index of the first failing row (an int for a batch
+    with one leading axis, a tuple for more), or None when the jet is
+    unbatched; ``reason`` is the message without the row.
+    """
+
+    def __init__(self, reason: str, row: int | tuple[int, ...] | None = None) -> None:
+        super().__init__(reason if row is None else f"row {row}: {reason}")
+        self.reason = reason
+        self.row = row
 
 
 class BranchError(JetError):
     pass
 
 
-def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    out = tuple(complex(c) for c in coeffs)
-    ensure_finite(*out)
+def _refuse(bad: np.ndarray, error: type[JetError], reason: Callable[[tuple], str]) -> None:
+    """Raise ``error`` for the first row where the boolean ``bad`` holds.
+
+    ``bad`` has the batch shape; ``reason(i)`` words the refusal for the
+    batch index ``i`` (``()`` for an unbatched jet).
+    """
+    if not np.count_nonzero(bad):
+        return
+    if bad.ndim == 0:
+        raise error(reason(()))
+    idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+    raise error(reason(idx), idx[0] if len(idx) == 1 else idx)
+
+
+def _convolution(m: int) -> np.ndarray:
+    """0/1 matrix taking the flat outer product of two m-term series to their product."""
+    out = np.zeros((m, m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m - i):
+            out[i, j, i + j] = 1.0
+    return out.reshape(m * m, m)
+
+
+def _toeplitz_index(m: int) -> np.ndarray:
+    """Index of c[k - j] at (k, j) of the lower triangular Toeplitz matrix; 0 above it."""
+    diff = np.subtract.outer(np.arange(m), np.arange(m))
+    return np.where(diff >= 0, diff, 0)
+
+
+_CONVOLUTION = tuple(_convolution(m) for m in range(MAX_ORDER + 2))
+_TOEPLITZ = tuple(_toeplitz_index(m) for m in range(MAX_ORDER + 2))
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of coefficient arrays with the same last axis."""
+    m = a.shape[-1]
+    outer = a[..., :, None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (m * m,)) @ _CONVOLUTION[m]
+
+
+def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients h with b h = a (truncated); b's constant terms are nonzero.
+
+    With u = b / b0 - 1 the system is h = a / b0 - T(u) h, where T(u) is
+    strictly lower triangular Toeplitz; m - 1 sweeps of that fixed point make
+    every coefficient exact (the k-th is final after k sweeps).
+    """
+    m = a.shape[-1]
+    b0 = b[..., :1]
+    u = b / b0
+    u[..., 0] = 0.0
+    lower = u[..., _TOEPLITZ[m]]
+    first = (a / b0)[..., None]
+    h = first
+    for _ in range(m - 1):
+        h = first - lower @ h
+    return h[..., 0]
+
+
+def _constant_coeffs(value, m: int) -> np.ndarray:
+    """Coefficients of the constant series ``value`` (a number or batch array)."""
+    value = np.asarray(value, dtype=complex)
+    out = np.zeros(value.shape + (m,), dtype=complex)
+    out[..., 0] = value
     return out
 
 
-@dataclasses.dataclass(frozen=True)
 class Jet:
-    """Truncated power series in one named variable."""
+    """Truncated power series in one named variable, or a batch of them.
 
-    coeffs: tuple[complex, ...]
-    var: str = "t"
+    ``coeffs`` has shape ``(..., order+1)`` (see the module docstring). It
+    is not copied from an array argument, and jets are values: no operation
+    writes into it.
+    """
+
+    __slots__ = ("coeffs", "var")
+
+    def __init__(self, coeffs, var: str = "t") -> None:
+        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.var = var
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _as_complex_tuple(self.coeffs))
-        if not 1 <= len(self.coeffs) <= MAX_ORDER + 1:
-            raise JetError(f"jet order must be 0..{MAX_ORDER}, got {len(self.coeffs) - 1}")
+        """Validate shape and finiteness; runs once for every constructed jet."""
+        c = self.coeffs
+        if c.ndim == 0 or not 1 <= c.shape[-1] <= MAX_ORDER + 1:
+            got = c.shape[-1] - 1 if c.ndim else "a scalar"
+            raise JetError(f"jet order must be 0..{MAX_ORDER}, got {got}")
+        finite = np.isfinite(c)
+        if not finite.all():
+            _refuse(
+                ~finite.all(axis=-1),
+                JetError,
+                lambda i: f"non-finite value in coefficients {c[i].tolist()!r}",
+            )
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
-    def __getitem__(self, k: int) -> complex:
-        return self.coeffs[k]
+    def __getitem__(self, k: int):
+        """Coefficient k: a number for one series, an array over a batch."""
+        return self.coeffs[..., k]
 
     def __iter__(self):
-        return iter(self.coeffs)
+        return iter(np.moveaxis(self.coeffs, -1, 0))
 
     # derivative value f^(k)(0), not the series coefficient
-    def derivative(self, k: int) -> complex:
-        fact = 1
-        for j in range(2, k + 1):
-            fact *= j
-        return self.coeffs[k] * fact
+    def derivative(self, k: int):
+        return self.coeffs[..., k] * math.factorial(k)
 
-    def evaluate(self, x: complex) -> complex:
+    def evaluate(self, x):
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+        for k in range(self.order, -1, -1):
+            acc = acc * x + self.coeffs[..., k]
         return acc
 
-    def _check_var(self, other: "Jet") -> None:
-        if self.var != other.var:
-            raise JetError(f"mixed jet variables {self.var!r} and {other.var!r}")
-
-    def _binary(self, other, op: Callable[[tuple, tuple, int], list]) -> "Jet":
+    def _pair(self, other) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of self and other, truncated to their common order."""
         if isinstance(other, Jet):
-            self._check_var(other)
-            n = min(self.order, other.order)
-            return Jet(tuple(op(self.coeffs, other.coeffs, n)), self.var)
-        other = complex(other)
-        return Jet(tuple(op(self.coeffs, (other,) + (0j,) * self.order, self.order)), self.var)
+            if self.var != other.var:
+                raise JetError(f"mixed jet variables {self.var!r} and {other.var!r}")
+            a, b = self.coeffs, other.coeffs
+            if a.shape[-1] == b.shape[-1]:
+                return a, b
+            m = min(a.shape[-1], b.shape[-1])
+            return a[..., :m], b[..., :m]
+        return self.coeffs, _constant_coeffs(other, self.coeffs.shape[-1])
 
     def __add__(self, other) -> "Jet":
-        return self._binary(other, lambda a, b, n: [a[k] + b[k] for k in range(n + 1)])
+        a, b = self._pair(other)
+        return Jet(a + b, self.var)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Jet":
-        return self._binary(other, lambda a, b, n: [a[k] - b[k] for k in range(n + 1)])
+        a, b = self._pair(other)
+        return Jet(a - b, self.var)
 
     def __rsub__(self, other) -> "Jet":
-        return (-self) + other
+        a, b = self._pair(other)
+        return Jet(b - a, self.var)
 
     def __neg__(self) -> "Jet":
-        return Jet(tuple(-c for c in self.coeffs), self.var)
+        return Jet(-self.coeffs, self.var)
 
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            self._check_var(other)
-            n = min(self.order, other.order)
-            out = [0j] * (n + 1)
-            for i in range(n + 1):
-                for j in range(n + 1 - i):
-                    out[i + j] += self.coeffs[i] * other.coeffs[j]
-            return Jet(tuple(out), self.var)
-        z = complex(other)
-        return Jet(tuple(c * z for c in self.coeffs), self.var)
+            a, b = self._pair(other)
+            return Jet(_mul(a, b), self.var)
+        return Jet(self.coeffs * np.asarray(other, dtype=complex)[..., None], self.var)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet":
         if not isinstance(other, Jet):
-            return self * (1.0 / complex(other))
-        self._check_var(other)
-        if other.coeffs[0] == 0:
-            raise JetError("division by a jet with zero constant term; shift_down first")
-        n = min(self.order, other.order)
-        out = [0j] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(k):
-                acc -= out[j] * other.coeffs[k - j]
-            out[k] = acc / other.coeffs[0]
-        return Jet(tuple(out), self.var)
+            other = np.asarray(other, dtype=complex)
+            _refuse(other == 0, JetError, lambda i: "division of a jet by zero")
+            return self * (1.0 / other)
+        a, b = self._pair(other)
+        _refuse(
+            b[..., 0] == 0,
+            JetError,
+            lambda i: "division by a jet with zero constant term; shift_down first",
+        )
+        return Jet(_div(a, b), self.var)
 
     def __rtruediv__(self, other) -> "Jet":
-        return constant(complex(other), self.order, self.var) / self
+        return constant(other, self.order, self.var) / self
 
     def __pow__(self, n: int) -> "Jet":
         if not isinstance(n, int):
             raise JetError("only integer powers; use jet_sqrt/jet_log for fractional")
         if n < 0:
             return 1.0 / (self ** (-n))
-        acc = constant(1.0, self.order, self.var)
+        acc = None
         base = self
         while n:
             if n & 1:
-                acc = acc * base
-            base = base * base
+                acc = base if acc is None else acc * base
             n >>= 1
-        return acc
+            if n:
+                base = base * base
+        return constant(1.0, self.order, self.var) if acc is None else acc
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise JetError("cannot extend a jet; higher coefficients are unknown")
-        return Jet(self.coeffs[: order + 1], self.var)
+        return Jet(self.coeffs[..., : order + 1], self.var)
 
     def shift_down(self, k: int, rel_tol: float = 1e-9) -> "Jet":
         """Divide by var**k; the first k coefficients must already vanish."""
@@ -165,22 +264,24 @@ class Jet:
             return self
         if k > self.order:
             raise JetError("shift_down exceeds jet order")
-        scale = max(abs(c) for c in self.coeffs)
-        if scale == 0:
-            scale = 1.0
-        for c in self.coeffs[:k]:
-            if abs(c) > rel_tol * scale:
-                raise JetError(
-                    f"declared leading power {k} but coefficient {c!r} does not vanish"
-                )
-        return Jet(self.coeffs[k:], self.var)
+        c = self.coeffs
+        # relative to the largest coefficient; an all-zero row passes
+        loud = np.abs(c[..., :k]) > rel_tol * np.abs(c).max(axis=-1, keepdims=True)
+
+        def reason(i: tuple) -> str:
+            lead = c[i][:k][loud[i]][0]
+            return f"declared leading power {k} but coefficient {complex(lead)!r} does not vanish"
+
+        _refuse(loud.any(axis=-1), JetError, reason)
+        return Jet(c[..., k:], self.var)
 
     def shift_up(self, k: int) -> "Jet":
         """Multiply by var**k, truncating at MAX_ORDER."""
         if k == 0:
             return self
-        coeffs = (0j,) * k + self.coeffs
-        return Jet(coeffs[: MAX_ORDER + 1], self.var)
+        c = self.coeffs
+        pad = np.zeros(c.shape[:-1] + (k,), dtype=complex)
+        return Jet(np.concatenate([pad, c], axis=-1)[..., : MAX_ORDER + 1], self.var)
 
     def rename(self, var: str) -> "Jet":
         """Same coefficients as a series in another variable."""
@@ -188,45 +289,55 @@ class Jet:
 
     def conjugate_coefficients(self) -> "Jet":
         """Coefficient-wise conjugate: equals conj(f(t)) only for real t."""
-        return Jet(tuple(c.conjugate() for c in self.coeffs), self.var)
+        return Jet(self.coeffs.conj(), self.var)
 
     def real_part(self) -> "Jet":
         """Coefficient-wise real part: equals Re f(t) only for real t."""
-        return Jet(tuple(complex(c.real, 0.0) for c in self.coeffs), self.var)
+        return Jet(self.coeffs.real.astype(complex), self.var)
 
-    def imag_max(self) -> float:
-        return max(abs(c.imag) for c in self.coeffs)
+    def imag_max(self):
+        """Largest |imaginary part| of the coefficients, per row."""
+        return np.abs(self.coeffs.imag).max(axis=-1)
 
     def __repr__(self) -> str:
-        return f"Jet({list(self.coeffs)!r}, var={self.var!r})"
+        return f"Jet({self.coeffs.tolist()!r}, var={self.var!r})"
 
 
-def constant(value: complex, order: int = MAX_ORDER, var: str = "t") -> Jet:
-    return Jet((complex(value),) + (0j,) * order, var)
+def constant(value, order: int = MAX_ORDER, var: str = "t") -> Jet:
+    """The constant series ``value``; an array value gives one row per entry."""
+    return Jet(_constant_coeffs(value, order + 1), var)
 
 
 def variable(var: str = "t", order: int = MAX_ORDER) -> Jet:
     if order < 1:
         raise JetError("variable jet needs order >= 1")
-    return Jet((0j, 1.0 + 0j) + (0j,) * (order - 1), var)
+    coeffs = np.zeros(order + 1, dtype=complex)
+    coeffs[1] = 1.0
+    return Jet(coeffs, var)
 
 
 def jet_exp(f: Jet) -> Jet:
-    u = f - f.coeffs[0]
+    c0 = f.coeffs[..., 0]
+    u = f - c0
     acc = constant(1.0, f.order, f.var)
     # Horner form of sum u^k / k!
     for n in range(f.order, 0, -1):
         acc = acc * u * (1.0 / n) + 1.0
-    return acc * cmath.exp(f.coeffs[0])
+    return acc * np.exp(c0)
 
 
-def jet_log(f: Jet, log_of_c0: complex) -> Jet:
-    """Series of log f on the sheet where log(c0) = log_of_c0."""
-    c0 = f.coeffs[0]
-    if c0 == 0:
-        raise JetError("log of a jet with zero constant term")
-    if abs(cmath.exp(log_of_c0) - c0) > 1e-8 * abs(c0):
-        raise BranchError(f"exp({log_of_c0!r}) does not match constant term {c0!r}")
+def jet_log(f: Jet, log_of_c0) -> Jet:
+    """Series of log f on the sheet where log(c0) = log_of_c0 (per row)."""
+    c0 = f.coeffs[..., 0]
+    log_of_c0 = np.asarray(log_of_c0, dtype=complex)
+    _refuse(c0 == 0, JetError, lambda i: "log of a jet with zero constant term")
+    miss = np.abs(np.exp(log_of_c0) - c0)
+    _refuse(
+        miss > 1e-8 * np.abs(c0),
+        BranchError,
+        lambda i: f"exp({complex(np.broadcast_to(log_of_c0, miss.shape)[i])!r}) does not "
+        f"match constant term {complex(np.broadcast_to(c0, miss.shape)[i])!r}",
+    )
     u = (f - c0) / c0
     acc = constant(0.0, f.order, f.var)
     un = constant(1.0, f.order, f.var)
@@ -236,50 +347,61 @@ def jet_log(f: Jet, log_of_c0: complex) -> Jet:
     return acc + log_of_c0
 
 
-def jet_sqrt(f: Jet, branch_of_c0: complex) -> Jet:
-    """Series of sqrt f on the sheet where sqrt(c0) = branch_of_c0."""
-    c0 = f.coeffs[0]
-    s0 = complex(branch_of_c0)
-    if s0 == 0:
-        raise BranchError("branch value 0 is a branch point, not a branch")
-    if abs(s0 * s0 - c0) > 1e-8 * max(1.0, abs(c0)):
-        raise BranchError(f"square of branch {s0!r} does not match constant term {c0!r}")
+def jet_sqrt(f: Jet, branch_of_c0) -> Jet:
+    """Series of sqrt f on the sheet where sqrt(c0) = branch_of_c0 (per row)."""
+    c = f.coeffs
+    c0 = c[..., 0]
+    s0 = np.asarray(branch_of_c0, dtype=complex)
+    _refuse(s0 == 0, BranchError, lambda i: "branch value 0 is a branch point, not a branch")
+    miss = np.abs(s0 * s0 - c0)
+    _refuse(
+        miss > 1e-8 * np.maximum(1.0, np.abs(c0)),
+        BranchError,
+        lambda i: f"square of branch {complex(np.broadcast_to(s0, miss.shape)[i])!r} does "
+        f"not match constant term {complex(np.broadcast_to(c0, miss.shape)[i])!r}",
+    )
     n = f.order
-    out = [0j] * (n + 1)
-    out[0] = s0
-    for k in range(1, n + 1):
-        acc = f.coeffs[k]
-        for j in range(1, k):
-            acc -= out[j] * out[k - j]
-        out[k] = acc / (2.0 * s0)
-    return Jet(tuple(out), f.var)
+    out = np.empty(miss.shape + (n + 1,), dtype=complex)
+    out[..., 0] = s0
+    twice = 2.0 * s0
+    if n >= 1:
+        out[..., 1] = c[..., 1] / twice
+    for k in range(2, n + 1):
+        # c_k = sum_{j=0..k} out_j out_{k-j}, whose two end terms are 2 s0 out_k
+        inner = out[..., None, 1:k] @ out[..., k - 1 : 0 : -1, None]
+        out[..., k] = (c[..., k] - inner[..., 0, 0]) / twice
+    return Jet(out, f.var)
 
 
 def compose(outer: Jet, inner: Jet) -> Jet:
     """outer(inner(t)); inner must have zero constant term."""
-    if inner.coeffs[0] != 0:
-        raise JetError("composition needs inner jet with zero constant term")
+    _refuse(
+        inner.coeffs[..., 0] != 0,
+        JetError,
+        lambda i: "composition needs inner jet with zero constant term",
+    )
     n = min(outer.order, inner.order)
-    acc = constant(outer.coeffs[n], n, inner.var)
+    inner = inner.truncate(n)
+    acc = constant(outer.coeffs[..., n], n, inner.var)
     for k in range(n - 1, -1, -1):
-        acc = acc * inner.truncate(n) + outer.coeffs[k]
+        acc = acc * inner + outer.coeffs[..., k]
     return acc
 
 
 def reversion(f: Jet) -> Jet:
     """Inverse series of f with f(0)=0: reversion(f)(f(t)) = t."""
-    if f.coeffs[0] != 0:
-        raise JetError("reversion needs zero constant term")
-    if f.coeffs[1] == 0:
-        raise JetError("reversion needs a nonzero linear coefficient")
+    c = f.coeffs
+    _refuse(c[..., 0] != 0, JetError, lambda i: "reversion needs zero constant term")
+    _refuse(c[..., 1] == 0, JetError, lambda i: "reversion needs a nonzero linear coefficient")
     n = f.order
-    out = [0j, 1.0 / f.coeffs[1]] + [0j] * (n - 1)
+    out = np.zeros(c.shape, dtype=complex)
+    out[..., 1] = 1.0 / c[..., 1]
     for k in range(2, n + 1):
-        # coefficient of t^k in sum_{j<k} out[j] * f^j must cancel
-        partial = Jet(tuple(out[:k]) + (0j,) * (n + 1 - k), f.var)
-        acc = compose(partial, f).coeffs[k]
-        out[k] = -acc / f.coeffs[1] ** k
-    return Jet(tuple(out), f.var)
+        # coefficient of t^k in sum_{j<k} out[j] * f^j must cancel; out[k:]
+        # is still zero, so the partial series is out itself
+        acc = compose(Jet(out.copy(), f.var), f).coeffs[..., k]
+        out[..., k] = -acc / c[..., 1] ** k
+    return Jet(out, f.var)
 
 
 def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
@@ -290,14 +412,19 @@ def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
     is only as long as what remains known.
     """
     g = f.shift_down(leading_power)
-    if g.coeffs[0] == 0:
-        raise JetError(
-            f"leading power {leading_power} declared but next coefficient vanishes too"
-        )
+    g0 = g.coeffs[..., 0]
+    _refuse(
+        g0 == 0,
+        JetError,
+        lambda i: f"leading power {leading_power} declared but next coefficient vanishes too",
+    )
     gg = g * g.conjugate_coefficients()
-    if gg.imag_max() > 1e-9 * max(1.0, abs(gg.coeffs[0])):
-        raise JetError("modulus square has stray imaginary part")
-    mod = jet_sqrt(gg.real_part(), abs(g.coeffs[0]))
+    _refuse(
+        gg.imag_max() > 1e-9 * np.maximum(1.0, np.abs(gg.coeffs[..., 0])),
+        JetError,
+        lambda i: "modulus square has stray imaginary part",
+    )
+    mod = jet_sqrt(gg.real_part(), np.abs(g0))
     return mod.shift_up(leading_power)
 
 

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .config import TOLERANCES
 from .curves import CurveError, GeometricCurve, expand_from_samples
@@ -92,21 +94,33 @@ class Slope:
 
 @dataclasses.dataclass(frozen=True)
 class ConeExpansion:
-    """Order-3 theta-jets of the filled cusp's eigenvalues on a curve."""
+    """Order-3 theta-jets of the filled cusp's eigenvalues on a curve.
+
+    For a tuple of slopes the jets are batches with one row per slope.
+    """
 
     curve: GeometricCurve
-    slope: Slope
+    slope: Slope | tuple[Slope, ...]
     m_jet: Jet
     l_jet: Jet
     log_combo_jet: Jet
 
 
-def cone_expansion(curve: GeometricCurve, slope: Slope) -> ConeExpansion:
+def _theta_jet(shape: tuple[int, ...], *coeffs) -> Jet:
+    """Theta-jet of the given batch shape; each coefficient broadcasts to it."""
+    out = np.empty(shape + (len(coeffs),), dtype=complex)
+    for k, c in enumerate(coeffs):
+        out[..., k] = c
+    return Jet(out, "theta")
+
+
+def cone_expansion(curve: GeometricCurve, slope: Slope | Sequence[Slope]) -> ConeExpansion:
     """Closed-form jets of m2, l2 and r log(-m2) + s log(-l2) in theta.
 
     Requires the involution-constrained curve (a2 = a1 - a1^2) at
     (-1, -1); the coefficient formulas below are the specialization to
-    that case.
+    that case. They broadcast over (p, q, r, s): given a sequence of slopes
+    the jets carry one row per slope, in order.
     """
     if (curve.m0, curve.l0) != (-1, -1):
         raise SurgeryError("cone expansion implemented only at base (-1, -1)")
@@ -117,26 +131,37 @@ def cone_expansion(curve: GeometricCurve, slope: Slope) -> ConeExpansion:
     a1, a3 = curve.a1, curve.a3
     if a1.imag == 0:
         raise SurgeryError("curve slope a1 must have nonzero imaginary part")
-    p, q, r, s = slope.p, slope.q, slope.r, slope.s
-    P = p + a1 * q
-    th = variable("theta", 3)
-    m_jet = (
-        -1.0
-        + (-0.5j / P) * th
-        + (0.125 / P**2) * th**2
-        + (1j * (p + (3 * a1 - 3 * a1**2 + a1**3 - a3) * q) / (48.0 * P**4)) * th**3
-    )
-    l_jet = (
-        -1.0
-        + (-0.5j * a1 / P) * th
-        + (0.125 * a1**2 / P**2) * th**2
-        + (1j * ((-2 * a1 + 3 * a1**2 + a3) * p + a1**4 * q) / (48.0 * P**4)) * th**3
-    )
-    combo = (
-        (0.5j * (r + a1 * s) / P) * th
-        + (1j * (2 * a1 - 3 * a1**2 + a1**3 - a3) * (p * s - q * r) / (48.0 * P**4))
-        * th**3
-    )
+    if isinstance(slope, Slope):
+        p, q, r, s = np.array((slope.p, slope.q, slope.r, slope.s), dtype=float)
+    else:
+        slope = tuple(slope)
+        p, q, r, s = np.array([(x.p, x.q, x.r, x.s) for x in slope], dtype=float).reshape(-1, 4).T
+    # a slope too large for floats overflows here; the jets' finiteness
+    # check then refuses its row with a reason, so numpy need not warn too
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = p + a1 * q
+        shape = np.shape(P)
+        m_jet = _theta_jet(
+            shape,
+            -1.0,
+            -0.5j / P,
+            0.125 / P**2,
+            1j * (p + (3 * a1 - 3 * a1**2 + a1**3 - a3) * q) / (48.0 * P**4),
+        )
+        l_jet = _theta_jet(
+            shape,
+            -1.0,
+            -0.5j * a1 / P,
+            0.125 * a1**2 / P**2,
+            1j * ((-2 * a1 + 3 * a1**2 + a3) * p + a1**4 * q) / (48.0 * P**4),
+        )
+        combo = _theta_jet(
+            shape,
+            0.0,
+            0.5j * (r + a1 * s) / P,
+            0.0,
+            1j * (2 * a1 - 3 * a1**2 + a1**3 - a3) * (p * s - q * r) / (48.0 * P**4),
+        )
     return ConeExpansion(curve=curve, slope=slope, m_jet=m_jet, l_jet=l_jet, log_combo_jet=combo)
 
 
@@ -285,9 +310,10 @@ class _ChartWalker:
         other.logs = dataclasses.replace(self.logs)
         return other
 
-    def evaluate(self, u: complex, v: complex, commit: bool = False) -> VarietyPoint:
+    def evaluate(self, u: complex, v: complex) -> VarietyPoint:
+        """The chart point (u, v), continued from the committed anchors."""
         shapes = solve_shapes(u, v)
-        ev = cusp_eigenvalues(shapes, self.anchors, commit=commit)
+        ev = cusp_eigenvalues(shapes, self.anchors)
         try:
             lm1 = continue_log(-ev.m1, *self.logs.m1)
             ll1 = continue_log(-ev.l1, *self.logs.l1)
@@ -295,16 +321,21 @@ class _ChartWalker:
             ll2 = continue_log(-ev.l2, *self.logs.l2)
         except BranchError as exc:
             raise GluingError(f"filling log branch lost: {exc}") from exc
-        if commit:
-            self.logs.m1 = (-ev.m1, lm1)
-            self.logs.l1 = (-ev.l1, ll1)
-            self.logs.m2 = (-ev.m2, lm2)
-            self.logs.l2 = (-ev.l2, ll2)
-            self.u, self.v = u, v
         return VarietyPoint(
             u=u, v=v, shapes=shapes, eigenvalues=ev,
             log_m1=lm1, log_l1=ll1, log_m2=lm2, log_l2=ll2,
         )
+
+    def commit(self, pt: VarietyPoint) -> None:
+        """Advance every anchor to pt, a point evaluated from the current ones."""
+        # the same continuation steps evaluate took, now recorded; no re-solve
+        cusp_eigenvalues(pt.shapes, self.anchors, commit=True)
+        ev = pt.eigenvalues
+        self.logs.m1 = (-ev.m1, pt.log_m1)
+        self.logs.l1 = (-ev.l1, pt.log_l1)
+        self.logs.m2 = (-ev.m2, pt.log_m2)
+        self.logs.l2 = (-ev.l2, pt.log_l2)
+        self.u, self.v = pt.u, pt.v
 
     def newton(self, residual: _Residual) -> VarietyPoint:
         """Solve residual = 0 from the current committed point."""
@@ -317,7 +348,7 @@ class _ChartWalker:
             f1, f2 = residual[0].value(x), residual[1].value(x)
             if polish or max(abs(f1), abs(f2)) < tol:
                 if polish:
-                    self.evaluate(u, v, commit=True)
+                    self.commit(pt)
                     return pt
                 polish = True
             (j11, j12), (j21, j22) = _jacobian(residual, pt)

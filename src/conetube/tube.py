@@ -28,8 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .curves import GeometricCurve
-from .jets import jet_sqrt, real_modulus_jet
+from .jets import Jet, JetError, jet_sqrt, real_modulus_jet
 from .surgery import (
+    ConeExpansion,
     Slope,
     SolvedStructure,
     cone_expansion,
@@ -188,15 +189,18 @@ class KExpansion:
     source: str
 
 
-def k_expansion_closed_form(curve: GeometricCurve, slope2: Slope) -> KExpansion:
-    """(k0, k1) by jet expansion of the tube quantities on the curve.
+# slopes per batched jet pass: bounds the temporaries of a long scan
+_SCAN_BLOCK = 256
+
+
+def _mu_hat_sq_jet(ce: ConeExpansion) -> Jet:
+    """Jet of mu_hat^2 in theta, one row per slope of the cone expansion.
 
     Every absolute value is expanded with its leading theta-power factored
     explicitly (the commutator trace and its denominator both vanish to
     first order; the peripheral trace-square defect to second). No
     precomputed expansion constants enter.
     """
-    ce = cone_expansion(curve, slope2)
     m, l = ce.m_jet, ce.l_jet
     num = (m * m - 1.0) * (1.0 - l)
     den = m * m + l
@@ -212,14 +216,49 @@ def k_expansion_closed_form(curve: GeometricCurve, slope2: Slope) -> KExpansion:
 
     combo_over_theta = ce.log_combo_jet.real_part().shift_down(1)
     t_hat = 2.0 * real_modulus_jet(combo_over_theta, 0)
-    mu_hat_sq = tanh_r / t_hat
+    return tanh_r / t_hat
 
-    stray = max(abs(mu_hat_sq[1]), mu_hat_sq.imag_max())
-    if stray > 1e-9 * max(1.0, abs(mu_hat_sq[0])):
-        raise TubeError(f"mu_hat^2 jet has stray odd/imaginary part {stray:.3e}")
-    return KExpansion(
-        k0=mu_hat_sq[0].real, k1=mu_hat_sq[2].real, slope2=slope2, source="numeric-jet"
-    )
+
+def k_expansions(curve: GeometricCurve, slopes: Sequence[Slope]) -> list[KExpansion]:
+    """(k0, k1) for each slope, by batched jet expansion on the curve.
+
+    The slopes are expanded in blocks of ``_SCAN_BLOCK``, each block as one
+    batch of jets. A guard that refuses any row refuses the scan, with the
+    guard's exception type and the slope of the first failing row.
+    """
+    slopes = list(slopes)
+    out: list[KExpansion] = []
+    for start in range(0, len(slopes), _SCAN_BLOCK):
+        block = slopes[start : start + _SCAN_BLOCK]
+        try:
+            mu_hat_sq = _mu_hat_sq_jet(cone_expansion(curve, block))
+        except JetError as exc:
+            if exc.row is None:
+                raise
+            bad = block[exc.row]
+            raise type(exc)(f"slope ({bad.p}, {bad.q}): {exc.reason}") from exc
+        c = mu_hat_sq.coeffs
+        stray = np.maximum(np.abs(c[:, 1]), mu_hat_sq.imag_max())
+        loud = stray > 1e-9 * np.maximum(1.0, np.abs(c[:, 0]))
+        if loud.any():
+            i = int(np.argmax(loud))
+            raise TubeError(
+                f"slope ({block[i].p}, {block[i].q}): mu_hat^2 jet has stray "
+                f"odd/imaginary part {stray[i]:.3e}"
+            )
+        out.extend(
+            KExpansion(k0=k0, k1=k1, slope2=sl, source="numeric-jet")
+            for k0, k1, sl in zip(c[:, 0].real.tolist(), c[:, 2].real.tolist(), block)
+        )
+    return out
+
+
+def k_expansion_closed_form(curve: GeometricCurve, slope2: Slope) -> KExpansion:
+    """(k0, k1) by jet expansion of the tube quantities on the curve.
+
+    The one-slope case of ``k_expansions``.
+    """
+    return k_expansions(curve, [slope2])[0]
 
 
 def whitehead_k_reference(slope2: Slope) -> KExpansion:

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from conetube import Slope, whitehead_k_reference
+from conetube import cli
 from conetube.cli import main
 
 
@@ -165,3 +167,40 @@ def test_converge_table(capsys):
     labels = [r["slope1"] for r in payload["rows"]]
     assert labels == ["8,1", "unfilled"]
     assert payload["rows"][0]["err_a1"] < 0.5
+
+
+def _write_whole_text(args, payload, header, rows):
+    """Reference writer: builds the whole text in memory, then writes it once."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._cell(v) for v in row])
+        text = buf.getvalue()
+    with open(args.output, "w", newline="") as fh:
+        fh.write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_streamed_output_is_byte_identical(tmp_path, monkeypatch, capsys, fmt):
+    streamed, whole = tmp_path / "streamed", tmp_path / "whole"
+    argv = ["k1scan", "--max", "8", "--format", fmt]
+    assert main(argv + ["--output", str(streamed)]) == 0
+    monkeypatch.setattr(cli, "_write", _write_whole_text)
+    assert main(argv + ["--output", str(whole)]) == 0
+    assert streamed.read_bytes() == whole.read_bytes()
+    assert len(streamed.read_bytes()) > 1000
+
+
+def test_k1scan_at_large_norm(tmp_path, capsys):
+    target = tmp_path / "scan.json"
+    assert main(["k1scan", "--max", "200", "--output", str(target)]) == 0
+    entries = json.loads(target.read_text())["entries"]
+    assert len(entries) == 24464
+    gap = max(
+        abs(e["k1"] - whitehead_k_reference(Slope.make(e["p2"], e["q2"])).k1) for e in entries
+    )
+    assert gap <= 1e-10

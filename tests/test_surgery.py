@@ -240,7 +240,21 @@ def test_exact_jacobian_matches_central_differences(residual):
         u, v = base + rng.uniform(-0.2, 0.2, 4).view(np.complex128)
         walker = _ChartWalker()
         for k in range(1, 9):  # commit anchors along the segment from the base
-            walker.evaluate(base + k / 8 * (u - base), base + k / 8 * (v - base), commit=True)
+            walker.commit(walker.evaluate(base + k / 8 * (u - base), base + k / 8 * (v - base)))
         exact = np.array(_jacobian(residual, walker.evaluate(u, v)))
         reference = _central_jacobian(walker, residual, u, v)
         assert np.abs(exact - reference).max() <= 1e-7 * np.abs(reference).max()
+
+
+def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
+    import conetube.surgery as surgery
+
+    calls = []
+    solve = surgery.solve_shapes
+    monkeypatch.setattr(surgery, "solve_shapes", lambda u, v: calls.append(1) or solve(u, v))
+    structure = solve_cone_structure(None, Slope.make(1, 0), 0.5)
+    # 40 solves when each accepted Newton point was solved a second time
+    assert len(calls) <= 34
+    ev = structure.point.eigenvalues
+    assert ev.m2 == complex(-0.9689124217106448, -0.24740395925452285)
+    assert ev.l2 == complex(-0.5376870547896765, -0.2937397767883748)

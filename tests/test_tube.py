@@ -16,6 +16,7 @@ from conetube import (
     fit_k_expansion,
     k1_range_check,
     k_expansion_closed_form,
+    k_expansions,
     line_distance,
     measure_tube,
     monotonicity_report,
@@ -25,6 +26,7 @@ from conetube import (
     tube_cosh2R_trace_form,
     whitehead_k_reference,
 )
+from conetube.jets import JetError
 from conetube.holonomy import (
     RepresentationFamily,
     peripheral_matrices,
@@ -280,3 +282,42 @@ def test_monotonicity_report(poly_curve):
     assert rep["mu_hat_decreasing"] is True
     assert rep["sum_increasing"] is True
     assert rep["k1"] < 0
+
+
+def _coprime_slopes(max_norm: int) -> list[Slope]:
+    pairs = [(1, 0)] + [
+        (p, q)
+        for q in range(1, max_norm + 1)
+        for p in range(q - max_norm, max_norm - q + 1)
+        if math.gcd(p, q) == 1
+    ]
+    return [Slope.make(p, q) for p, q in pairs]
+
+
+def test_k_expansions_equal_one_slope_at_a_time(poly_curve):
+    curve = poly_curve.symmetrized()
+    slopes = _coprime_slopes(30)
+    batch = k_expansions(curve, slopes)
+    assert [k.slope2 for k in batch] == slopes
+    for k, s in zip(batch, slopes):
+        one = k_expansion_closed_form(curve, s)
+        assert (k.source, one.source) == ("numeric-jet", "numeric-jet")
+        assert abs(k.k0 - one.k0) <= 1e-14 * abs(one.k0)
+        assert abs(k.k1 - one.k1) <= 1e-14 * abs(one.k1)
+    assert k_expansions(curve, []) == []
+
+
+def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
+    curve = poly_curve.symmetrized()
+    # at this norm the theta-jet of the commutator trace loses its constant
+    # term to rounding, so the modulus guard refuses the slope
+    bad = Slope.make(1, 10**40)
+    with pytest.raises(JetError) as one:
+        k_expansion_closed_form(curve, bad)
+    slopes = _coprime_slopes(30)
+    slopes.insert(300, bad)  # second block of the scan
+    with pytest.raises(JetError) as scan:
+        k_expansions(curve, slopes)
+    assert type(scan.value) is type(one.value)
+    assert str(scan.value) == str(one.value)
+    assert str(one.value).startswith(f"slope (1, {10**40}): leading power 0 declared")
