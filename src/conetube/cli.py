@@ -27,6 +27,7 @@ from .curves import (
 )
 from .gluing import (
     BASE_SHAPES,
+    BranchAnchors,
     GluingError,
     cusp_eigenvalues,
     residuals,
@@ -69,6 +70,8 @@ _ERRORS = (
 )
 _UNFILLED_HINT = 2 + 2j
 _VERIFY_SEED = 20250819
+# verify's points per batch: every run of up to this many points is one pass
+_VERIFY_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,13 +142,22 @@ def _unfilled_curve(args):
     return expand_from_polynomial(poly, -1, -1, _UNFILLED_HINT)
 
 
-def _curve_for(args, parser: _Parser):
-    """(curve, method metadata) for an optionally filled first cusp."""
+def _slope1(args, parser: _Parser) -> Slope | None:
+    """The first-cusp filling slope, or None for the complete cusp (the default)."""
     if args.p1 is None and args.q1 is None:
-        return _unfilled_curve(args), "polynomial", None
+        return None
+    if args.unfilled:
+        parser.error("--unfilled and --p1/--q1 exclude each other")
     if args.p1 is None or args.q1 is None:
         parser.error("--p1 and --q1 must be given together")
-    slope1 = _slope_or_exit(parser, args.p1, args.q1, "(p1, q1)")
+    return _slope_or_exit(parser, args.p1, args.q1, "(p1, q1)")
+
+
+def _curve_for(args, parser: _Parser):
+    """(curve, method metadata) for an optionally filled first cusp."""
+    slope1 = _slope1(args, parser)
+    if slope1 is None:
+        return _unfilled_curve(args), "polynomial", None
     curve = expand_from_samples(filled_curve_sampler(slope1), -1, -1)
     return curve, "sampled", slope1
 
@@ -155,7 +167,7 @@ def cmd_base(args, parser: _Parser) -> int:
     r1, r2 = residuals(shapes)
     ev = cusp_eigenvalues(shapes)
     rep = base_representation()
-    g1, g2 = relation_residuals(rep)
+    g1, g2 = (float(g) for g in relation_residuals(rep))
     tol = args.tol if args.tol is not None else 1e-12
     ok = max(abs(r1), abs(r2), g1, g2) < tol
     payload = {
@@ -345,11 +357,7 @@ def cmd_converge(args, parser: _Parser) -> int:
 
 def cmd_tube(args, parser: _Parser) -> int:
     slope2 = _slope_or_exit(parser, args.p2, args.q2, "(p2, q2)")
-    slope1 = None
-    if args.p1 is not None or args.q1 is not None:
-        if args.p1 is None or args.q1 is None:
-            parser.error("--p1 and --q1 must be given together")
-        slope1 = _slope_or_exit(parser, args.p1, args.q1, "(p1, q1)")
+    slope1 = _slope1(args, parser)
     if not 0.0 < args.theta <= THETA_MAX:
         parser.error(f"--theta must lie in (0, {THETA_MAX}]")
     structure = solve_cone_structure(slope1, slope2, args.theta)
@@ -384,84 +392,91 @@ def cmd_tube(args, parser: _Parser) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _points_from(start: int):
+    """Name the drawn point, not the block row, in a refusal of a block of points."""
+    try:
+        yield
+    except ValueError as exc:
+        row = getattr(exc, "row", None)
+        if row is None:
+            raise
+        raise type(exc)(f"point {start + row}: {exc.reason}") from exc
+
+
 def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[dict]:
+    """The invariant suite: each check runs on ``points`` random points.
+
+    Points go through in blocks of ``_VERIFY_BLOCK`` rows, each block as one
+    batch, and each check draws its points in order, block after block:
+    the same draws as one ``(points, 4)`` uniform array, so a seed gives
+    the same points whatever the block size. The 8-substep walks from the
+    base commit their anchors at every substep.
+    """
     rng = np.random.default_rng(seed)
     checks = []
 
-    def record(name: str, default_tol: float, residuals_list: list[float]) -> None:
+    def record(name: str, default_tol: float, worst: float) -> None:
         tol = tol_override if tol_override is not None else default_tol
-        worst = float(max(residuals_list))
         checks.append({
             "check": name,
-            "points": len(residuals_list),
+            "points": points,
             "max_residual": worst,
             "tol": tol,
             "pass": bool(worst < tol),
         })
 
-    def chart_points(radius: float) -> list[tuple[complex, complex]]:
-        pts = []
-        for _ in range(points):
-            off = rng.uniform(-radius, radius, size=4)
-            pts.append(
-                (
-                    BASE_SHAPES.z1 + complex(off[0], off[1]),
-                    BASE_SHAPES.z2 + complex(off[2], off[3]),
-                )
-            )
-        return pts
+    def blocks(radius: float):
+        """(first point index, complex offsets of both coordinates) per block."""
+        for start in range(0, points, _VERIFY_BLOCK):
+            off = rng.uniform(-radius, radius, size=(min(_VERIFY_BLOCK, points - start), 4))
+            pair = off.view(complex)  # (re, im) of each coordinate's offset
+            yield start, pair[:, 0], pair[:, 1]
+
+    base = BASE_SHAPES.z1
+    steps = [k / 8.0 for k in range(1, 9)]
 
     # gluing residuals on solver outputs
-    res = []
-    for u, v in chart_points(0.08):
-        r1, r2 = residuals(solve_shapes(u, v))
-        res.append(max(abs(r1), abs(r2)))
-    record("gluing_residual", 1e-12, res)
+    worst = 0.0
+    for start, du, dv in blocks(0.08):
+        with _points_from(start):
+            r1, r2 = residuals(solve_shapes(base + du, base + dv))
+        worst = max(worst, float(np.maximum(abs(r1), abs(r2)).max()))
+    record("gluing_residual", 1e-12, worst)
 
-    # holonomy group relations near the base; walk z branch in substeps
-    reps = []
-    res = []
-    for _ in range(points):
-        off = rng.uniform(-0.12, 0.12, size=4)
-        x = -1.0 + complex(off[0], off[1])
-        y = 2j + complex(off[2], off[3])
-        fam = RepresentationFamily()
-        for k in range(1, 9):
-            s = k / 8.0
-            rep = fam.representation(
-                -1.0 + s * (x + 1.0), 2j + s * (y - 2j), commit=True
-            )
-        reps.append(rep)
-        res.append(max(relation_residuals(rep)))
-    record("group_relations", 1e-11, res)
-
-    # commutator trace identity against the same representations
-    res = []
-    for rep in reps:
-        res.append(abs(commutator_trace_minus2(rep) + rep.y))
-    record("commutator_trace", 1e-10, res)
+    # holonomy group relations near the base, walking the z branch in
+    # substeps; then the commutator trace identity on the same matrices
+    worst_group = worst_comm = 0.0
+    for start, dx, dy in blocks(0.12):
+        x, y = -1.0 + dx, 2j + dy
+        with _points_from(start):
+            fam = RepresentationFamily()
+            for s in steps:
+                rep = fam.representation(-1.0 + s * (x + 1.0), 2j + s * (y - 2j), commit=True)
+            worst_group = max(worst_group, float(np.maximum(*relation_residuals(rep)).max()))
+            comm = abs(commutator_trace_minus2(rep) + rep.y)
+        worst_comm = max(worst_comm, float(comm.max()))
+    record("group_relations", 1e-11, worst_group)
+    record("commutator_trace", 1e-10, worst_comm)
 
     # cusp trace relations on variety samples; both identities are singular
     # at the base point itself, so evaluate strictly off base
-    from .gluing import BranchAnchors
-
-    res = []
-    for u, v in chart_points(0.08):
-        anchors = BranchAnchors()
-        for k in range(1, 9):
-            s = k / 8.0
-            uu = BASE_SHAPES.z1 + s * (u - BASE_SHAPES.z1)
-            vv = BASE_SHAPES.z2 + s * (v - BASE_SHAPES.z2)
-            ev = cusp_eigenvalues(solve_shapes(uu, vv), anchors, commit=True)
-        lhs_m = (ev.m1 + 1.0 / ev.m1) ** 2
-        lhs_l = ev.l1 + 1.0 / ev.l1
-        res.append(
-            max(
+    worst = 0.0
+    for start, du, dv in blocks(0.08):
+        u, v = base + du, base + dv
+        with _points_from(start):
+            anchors = BranchAnchors()
+            for s in steps:
+                shapes = solve_shapes(base + s * (u - base), base + s * (v - base))
+                ev = cusp_eigenvalues(shapes, anchors, commit=True)
+            lhs_m = (ev.m1 + 1.0 / ev.m1) ** 2
+            lhs_l = ev.l1 + 1.0 / ev.l1
+            res = np.maximum(
                 abs(lhs_m - trace_identity_m1(ev.m2, ev.l2)),
                 abs(lhs_l - trace_identity_l1(ev.m2, ev.l2)),
             )
-        )
-    record("cusp_trace_relations", 1e-9, res)
+        worst = max(worst, float(res.max()))
+    record("cusp_trace_relations", 1e-9, worst)
     return checks
 
 
@@ -503,7 +518,7 @@ def _add_common(sub: _Parser) -> None:
 
 def _add_slope1(sub: _Parser) -> None:
     sub.add_argument("--unfilled", action="store_true",
-                     help="first cusp complete (the default)")
+                     help="first cusp complete (the default); excludes --p1/--q1")
     sub.add_argument("--p1", type=int, default=None, help="first-cusp slope numerator")
     sub.add_argument("--q1", type=int, default=None, help="first-cusp slope denominator")
     sub.add_argument(
@@ -552,7 +567,8 @@ def build_parser() -> _Parser:
     _add_common(sub)
     sub.add_argument("--p1", type=int, default=None)
     sub.add_argument("--q1", type=int, default=None)
-    sub.add_argument("--unfilled", action="store_true")
+    sub.add_argument("--unfilled", action="store_true",
+                     help="first cusp complete (the default); excludes --p1/--q1")
     sub.add_argument("--p2", type=int, required=True)
     sub.add_argument("--q2", type=int, required=True)
     sub.add_argument("--theta", type=float, required=True, help="cone angle, radians")

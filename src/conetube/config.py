@@ -6,6 +6,7 @@ the CLI) can tighten or relax every check in one place.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 ENV_TOL = "CONETUBE_TOL"
@@ -28,5 +29,5 @@ def ensure_finite(*values: complex) -> None:
     """Reject NaN/Inf before they propagate into an algebraic pipeline."""
     for z in values:
         z = complex(z)
-        if z != z or abs(z.real) == float("inf") or abs(z.imag) == float("inf"):
+        if not cmath.isfinite(z):
             raise ValueError(f"non-finite value {z!r}")

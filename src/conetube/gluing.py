@@ -25,14 +25,30 @@ Cusp meridian/longitude eigenvalues are square-root expressions in the
 shapes. Both cusps have eigenvalue -1 at the base, and every square root is
 1 there; moving around the chart the caller carries ``BranchAnchors`` so
 the sheet is continued, never re-chosen.
+
+Batches. ``solve_shapes``, ``TetShapes.check_nondegenerate`` and
+``cusp_eigenvalues`` choose their mechanics from the type of their input.
+Python numbers take the scalar path. ndarrays of chart points take the row
+path: each row is one point, and ``TetShapes``, ``CuspEigenvalues`` and
+committed ``BranchAnchors`` then hold arrays with that batch axis. Both
+paths share the algebra (``_quadratic``, the root choice, ``z4``,
+``sqrt_arguments``, ``residuals``). On the row path every guard runs on
+every row with the scalar threshold: finiteness, ``CHART_RADIUS``, the
+degenerate-shape check and every ``continue_sqrt`` step. The discriminant
+walk halves the hop of each refused row on its own, down to ``_MIN_HOP``,
+as the scalar walk does. One failing row refuses the batch with the scalar
+path's exception type, and the message starts ``row i:``; the error
+carries ``row`` and ``reason``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from .config import ensure_finite
-from .jets import BranchError, continue_sqrt
+from .jets import _MAX_REL_STEP, BranchError, _refuse, continue_sqrt
 
 BASE_SHAPE = complex(0.5, 0.5)
 CHART_RADIUS = 0.35
@@ -61,6 +77,15 @@ class TetShapes:
         return (self.z1, self.z2, self.z3, self.z4)
 
     def check_nondegenerate(self) -> "TetShapes":
+        if isinstance(self.z1, np.ndarray):
+            for z in self.as_tuple():
+                _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
+                _refuse(
+                    (abs(z) < _DEGENERATE_TOL) | (abs(z - 1.0) < _DEGENERATE_TOL),
+                    GluingError,
+                    lambda i: f"degenerate tetrahedron shape {complex(z[i])!r}",
+                )
+            return self
         for z in self.as_tuple():
             ensure_finite(z)
             if abs(z) < _DEGENERATE_TOL or abs(z - 1.0) < _DEGENERATE_TOL:
@@ -84,41 +109,92 @@ def _quadratic(u: complex, v: complex) -> tuple[complex, complex, complex]:
     return (1 - v) * (1 - u - v), uv * (2 - u - v), -uv * (1 - u)
 
 
-def _continued_disc_sqrt(u: complex, v: complex) -> complex:
-    """sqrt(disc) at (u, v), continued along the chart segment from the base."""
+def _continued_disc_sqrt(u, v):
+    """sqrt(disc) at (u, v), continued along the chart segment from the base.
+
+    Rows of arrays walk side by side, each with its own hop: a row whose
+    hop the anchor refuses halves it and retries, as one point does, while
+    the other rows step on. ``continue_sqrt`` still checks every step taken.
+    """
     du, dv = u - BASE_SHAPE, v - BASE_SHAPE
-    t, arg, value = 0.0, _BASE_DISC, _BASE_DISC_SQRT
-    hop = 1.0 / _SEGMENT_HOPS
-    while t < 1.0:
-        nxt = min(1.0, t + hop)
+    if type(du) is complex:
+        t, arg, value = 0.0, _BASE_DISC, _BASE_DISC_SQRT
+        hop = 1.0 / _SEGMENT_HOPS
+        while t < 1.0:
+            nxt = min(1.0, t + hop)
+            qa, qb, qc = _quadratic(BASE_SHAPE + nxt * du, BASE_SHAPE + nxt * dv)
+            disc = qb * qb - 4 * qa * qc
+            try:
+                value = continue_sqrt(disc, arg, value)
+            except BranchError as exc:
+                hop /= 2.0
+                if hop < _MIN_HOP:
+                    raise GluingError(f"discriminant branch lost on the chart segment: {exc}") from exc
+                continue
+            t, arg = nxt, disc
+        return value
+    t, hop = np.zeros(du.shape), np.full(du.shape, 1.0 / _SEGMENT_HOPS)
+    arg, value = np.full(du.shape, _BASE_DISC), np.full(du.shape, _BASE_DISC_SQRT)
+    live = t < 1.0
+    while live.any():
+        nxt = np.minimum(1.0, t + hop)
         qa, qb, qc = _quadratic(BASE_SHAPE + nxt * du, BASE_SHAPE + nxt * dv)
         disc = qb * qb - 4 * qa * qc
-        try:
-            value = continue_sqrt(disc, arg, value)
-        except BranchError as exc:
-            hop /= 2.0
-            if hop < _MIN_HOP:
-                raise GluingError(f"discriminant branch lost on the chart segment: {exc}") from exc
-            continue
-        t, arg = nxt, disc
+        # the rows whose hop continue_sqrt would refuse halve it, all at once
+        step = abs(disc / arg - 1.0)
+        long = live & (step > _MAX_REL_STEP)
+        hop = np.where(long, hop / 2.0, hop)
+        _refuse(
+            hop < _MIN_HOP,
+            GluingError,
+            lambda i: f"discriminant branch lost on the chart segment: relative step "
+            f"{step[i]:.3f} exceeds {_MAX_REL_STEP}; subdivide the path",
+        )
+        # the other live rows step; the rest hand their own anchor in, a step of 0
+        go = live & ~long
+        value = np.where(go, continue_sqrt(np.where(go, disc, arg), arg, value), value)
+        t, arg = np.where(go, nxt, t), np.where(go, disc, arg)
+        live = t < 1.0
     return value
 
 
-def solve_shapes(u: complex, v: complex) -> TetShapes:
-    """Solve the chart point (z1, z2) = (u, v) on the sheet continued from the base."""
-    u, v = complex(u), complex(v)
-    ensure_finite(u, v)
-    radius = max(abs(u - BASE_SHAPE), abs(v - BASE_SHAPE))
-    if radius > CHART_RADIUS:
-        raise GluingError(
-            f"chart coordinate {radius:.3f} from base exceeds radius {CHART_RADIUS}"
-        )
-    qa, qb, qc = _quadratic(u, v)
-    root = _continued_disc_sqrt(u, v)
+def _root(qa, qb, qc, root):
+    """The root w of A w^2 + B w + C on the sheet of ``root`` = sqrt(disc)."""
     # (-B + root) / 2A and 2C / (-B - root) are the same root; divide by
     # the larger of -B +- root so that neither cancels
     plus, minus = root - qb, -root - qb
-    w = plus / (2 * qa) if abs(plus) >= abs(minus) else 2 * qc / minus
+    larger = abs(plus) >= abs(minus)
+    if type(larger) is bool:
+        return plus / (2 * qa) if larger else 2 * qc / minus
+    return np.where(larger, plus, 2 * qc) / np.where(larger, 2 * qa, minus)
+
+
+def solve_shapes(u, v) -> TetShapes:
+    """Solve the chart point (z1, z2) = (u, v) on the sheet continued from the base.
+
+    ``u`` and ``v`` are numbers, or arrays of chart points (one per row) on
+    the row path of the module docstring.
+    """
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+        for z in (u, v):
+            _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
+        radius = np.maximum(abs(u - BASE_SHAPE), abs(v - BASE_SHAPE))
+        _refuse(
+            radius > CHART_RADIUS,
+            GluingError,
+            lambda i: f"chart coordinate {radius[i]:.3f} from base exceeds radius {CHART_RADIUS}",
+        )
+    else:
+        u, v = complex(u), complex(v)
+        ensure_finite(u, v)
+        radius = max(abs(u - BASE_SHAPE), abs(v - BASE_SHAPE))
+        if radius > CHART_RADIUS:
+            raise GluingError(
+                f"chart coordinate {radius:.3f} from base exceeds radius {CHART_RADIUS}"
+            )
+    qa, qb, qc = _quadratic(u, v)
+    w = _root(qa, qb, qc, _continued_disc_sqrt(u, v))
     z4 = 1 - (1 - v) * w / (1 - u)
     return TetShapes(u, v, 1 - w, z4).check_nondegenerate()
 
@@ -139,7 +215,11 @@ def _shape_derivatives(s: TetShapes) -> tuple[complex, complex, complex, complex
 
 @dataclasses.dataclass
 class BranchAnchors:
-    """Last committed (argument, value) pair of each cusp square root."""
+    """Last committed (argument, value) pair of each cusp square root.
+
+    Numbers for one point; after a commit on the row path, arrays with one
+    anchor per row. The base anchors broadcast over any batch.
+    """
 
     m1: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
     l1: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
@@ -203,7 +283,8 @@ def cusp_eigenvalues(
     """Eigenvalues at the shapes ``s``, continued from ``anchors``.
 
     With ``commit`` the anchors are advanced to ``s``; probe evaluations
-    (finite differences, line searches) should leave it False.
+    (finite differences, line searches) should leave it False. Shapes that
+    hold arrays continue every row from its own anchor.
     """
     if anchors is None:
         anchors = BranchAnchors()
@@ -215,7 +296,9 @@ def cusp_eigenvalues(
         s_m2 = continue_sqrt(arg_m2, *anchors.m2)
         s_l2 = continue_sqrt(arg_l2, *anchors.l2)
     except BranchError as exc:
-        raise GluingError(f"eigenvalue branch lost: {exc}") from exc
+        lost = GluingError(f"eigenvalue branch lost: {exc}")
+        lost.row, lost.reason = exc.row, f"eigenvalue branch lost: {exc.reason}"
+        raise lost from exc
     if commit:
         anchors.m1 = (arg_m1, s_m1)
         anchors.l1 = (arg_l1, s_l1)

@@ -23,9 +23,10 @@ branch points:
 * ``sqrt`` and ``log`` never choose a branch. The caller passes the value at
   the constant term (a number whose square, or exponential, matches ``c0``)
   and the series is built on that sheet.
-* Scalar branch continuation helpers (``continue_sqrt``, ``continue_log``,
+* Branch continuation helpers (``continue_sqrt``, ``continue_log``,
   ``sqrt_along_path``, ``log_along_path``) carry a branch along a path of
-  arguments, refusing steps large enough to be ambiguous.
+  arguments, refusing steps large enough to be ambiguous. ``continue_sqrt``
+  also steps every row of an array at once.
 
 Every guard (a branch value that does not match ``c0``, division by a series
 with zero constant term, a declared leading power whose coefficients do not
@@ -68,18 +69,23 @@ class BranchError(JetError):
     pass
 
 
-def _refuse(bad: np.ndarray, error: type[JetError], reason: Callable[[tuple], str]) -> None:
+def _refuse(bad: np.ndarray, error: type[ValueError], reason: Callable[[tuple], str]) -> None:
     """Raise ``error`` for the first row where the boolean ``bad`` holds.
 
     ``bad`` has the batch shape; ``reason(i)`` words the refusal for the
-    batch index ``i`` (``()`` for an unbatched jet).
+    batch index ``i`` (``()`` for an unbatched input, which raises the bare
+    reason). A batch refusal of any error type says ``row i: ...`` and
+    carries ``row`` and ``reason`` attributes, as ``JetError`` does.
     """
     if not np.count_nonzero(bad):
         return
-    if bad.ndim == 0:
+    if np.ndim(bad) == 0:
         raise error(reason(()))
     idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-    raise error(reason(idx), idx[0] if len(idx) == 1 else idx)
+    row, text = (idx[0] if len(idx) == 1 else idx), reason(idx)
+    exc = error(f"row {row}: {text}")
+    exc.row, exc.reason = row, text
+    raise exc
 
 
 def _convolution(m: int) -> np.ndarray:
@@ -429,14 +435,34 @@ def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# scalar branch continuation
+# branch continuation
 
 _MAX_REL_STEP = 0.5
 _MAX_DEPTH = 60
 
 
-def continue_sqrt(arg: complex, anchor_arg: complex, anchor_value: complex) -> complex:
-    """One continuation step of sqrt from a known (argument, value) anchor."""
+def continue_sqrt(arg, anchor_arg, anchor_value):
+    """One continuation step of sqrt from a known (argument, value) anchor.
+
+    Python numbers take one step. An ndarray ``arg`` takes one step per
+    row, with anchors that broadcast against it; the step guards run on
+    every row, and a refused row refuses the batch with its row named.
+    """
+    # a Python complex, the scalar walkers' case, skips the array test
+    if type(arg) is not complex and isinstance(arg, np.ndarray):
+        _refuse(
+            (anchor_arg == 0) | (arg == 0),
+            BranchError,
+            lambda i: "square-root argument hit the branch point 0",
+        )
+        ratio = arg / anchor_arg
+        step = np.abs(ratio - 1.0)
+        _refuse(
+            step > _MAX_REL_STEP,
+            BranchError,
+            lambda i: f"relative step {step[i]:.3f} exceeds {_MAX_REL_STEP}; subdivide the path",
+        )
+        return anchor_value * np.sqrt(ratio)
     if anchor_arg == 0 or arg == 0:
         raise BranchError("square-root argument hit the branch point 0")
     ratio = arg / anchor_arg

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from conetube import Slope, whitehead_k_reference
@@ -204,3 +205,94 @@ def test_k1scan_at_large_norm(tmp_path, capsys):
         abs(e["k1"] - whitehead_k_reference(Slope.make(e["p2"], e["q2"])).k1) for e in entries
     )
     assert gap <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["acoeffs"],
+        ["kcoeffs", "--p2", "1", "--q2", "0"],
+        ["k1scan", "--max", "3"],
+        ["tube", "--p2", "1", "--q2", "0", "--theta", "0.1"],
+    ],
+)
+def test_unfilled_excludes_a_first_cusp_slope(capsys, argv):
+    for slope1 in (["--p1", "9", "--q1", "1"], ["--q1", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--unfilled"] + slope1)
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert "--unfilled and --p1/--q1" in err
+    # on its own it names the default
+    code, out, _ = run(capsys, *argv, "--unfilled")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize(
+    "points, seed",
+    # the printed l1 identity put these over the 1e-9 bound (1.35e-9, 8.5e-7)
+    [(50, 3), (200, 1500881322)],
+)
+def test_verify_cusp_trace_relations_near_the_base(capsys, points, seed):
+    code, out, _ = run(capsys, "verify", "--points", str(points), "--seed", str(seed))
+    assert code == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert checks["cusp_trace_relations"]["max_residual"] < 1e-9
+    assert checks["cusp_trace_relations"]["tol"] == 1e-9
+
+
+def test_verify_uses_one_draw_per_point_in_order(monkeypatch):
+    points, seed = 20, 11
+    solved, walked = [], []
+    solve = cli.solve_shapes
+    representation = cli.RepresentationFamily.representation
+
+    def record_solve(u, v):
+        solved.append((u, v))
+        return solve(u, v)
+
+    def record_representation(self, x, y, commit=False):
+        walked.append((x, y))
+        return representation(self, x, y, commit)
+
+    monkeypatch.setattr(cli, "solve_shapes", record_solve)
+    monkeypatch.setattr(cli.RepresentationFamily, "representation", record_representation)
+    monkeypatch.setattr(cli, "_VERIFY_BLOCK", 8)
+    checks = cli._verify_checks(points, seed, None)
+    assert [c["points"] for c in checks] == [points] * 4
+
+    # the points as drawn one at a time, check after check
+    rng = np.random.default_rng(seed)
+    base = 0.5 + 0.5j
+
+    def draws(radius):
+        offs = [rng.uniform(-radius, radius, size=4) for _ in range(points)]
+        return [(complex(o[0], o[1]), complex(o[2], o[3])) for o in offs]
+
+    gluing, holonomy, cusp = draws(0.08), draws(0.12), draws(0.08)
+    steps = [k / 8.0 for k in range(1, 9)]
+    blocks = [range(0, 8), range(8, 16), range(16, 20)]
+    assert len(solved) == 3 + 3 * 8 and len(walked) == 3 * 8
+
+    def concat(calls):
+        return [complex(z) for u, v in calls for pair in zip(u, v) for z in pair]
+
+    assert concat(solved[:3]) == [z for du, dv in gluing for z in (base + du, base + dv)]
+    for b, rows in enumerate(blocks):
+        for k, s in enumerate(steps):
+            x = [-1.0 + s * ((-1.0 + holonomy[i][0]) + 1.0) for i in rows]
+            y = [2j + s * ((2j + holonomy[i][1]) - 2j) for i in rows]
+            assert concat([walked[8 * b + k]]) == [z for pair in zip(x, y) for z in pair]
+            uu = [base + s * ((base + cusp[i][0]) - base) for i in rows]
+            vv = [base + s * ((base + cusp[i][1]) - base) for i in rows]
+            assert concat([solved[3 + 8 * b + k]]) == [z for pair in zip(uu, vv) for z in pair]
+
+
+def test_a_refused_row_names_the_drawn_point():
+    u = np.full(8, 0.5 + 0.5j)
+    u[6] += 0.4  # beyond the chart radius
+    with pytest.raises(cli.GluingError, match=r"^point 1030: chart coordinate 0\.400") as exc:
+        with cli._points_from(1024):
+            cli.solve_shapes(u, 0.5 + 0.5j)
+    assert type(exc.value) is cli.GluingError

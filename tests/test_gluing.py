@@ -13,8 +13,9 @@ from conetube import (
     residuals,
     solve_shapes,
 )
+from conetube import gluing
 from conetube.gluing import CHART_RADIUS, sqrt_arguments
-from conetube.jets import sqrt_along_path
+from conetube.jets import BranchError, continue_sqrt, sqrt_along_path
 
 BASE = 0.5 + 0.5j
 
@@ -153,3 +154,106 @@ def test_base_jacobian_conditioning():
         jac[i, 1] = (res(BASE, BASE + h)[i] - res(BASE, BASE - h)[i]) / (2 * h)
     cond = np.linalg.cond(jac)
     assert np.isfinite(cond) and cond < 1e6
+
+
+# the chart-edge point above, and another whose first pass of two hops the
+# discriminant's anchor refuses
+EDGE = (0.395 + 0.214j, 0.577 + 0.179j)
+SPLIT = (0.457 + 0.617j, 0.606 + 0.716j)
+
+
+def _discriminant(u: complex, v: complex, t: float) -> complex:
+    uu, vv = BASE + t * (u - BASE), BASE + t * (v - BASE)
+    a, b = 1 - uu, 1 - vv
+    qa, qb, qc = b * (a * b - uu * vv), uu * vv * (a + b), -uu * vv * a
+    return qb * qb - 4 * qa * qc
+
+
+def _two_hops_refused(u: complex, v: complex) -> bool:
+    try:
+        half = continue_sqrt(_discriminant(u, v, 0.5), -0.5j, -0.5 + 0.5j)
+        continue_sqrt(_discriminant(u, v, 1.0), _discriminant(u, v, 0.5), half)
+    except BranchError:
+        return True
+    return False
+
+
+def test_batched_solve_equals_scalar_solve_per_row():
+    assert _two_hops_refused(*EDGE) and _two_hops_refused(*SPLIT)
+    rng = np.random.default_rng(20)
+    du, dv = rng.uniform(-0.08, 0.08, size=(2000, 4)).view(np.complex128).T
+    u = np.append(BASE + du, [EDGE[0], SPLIT[0]])
+    v = np.append(BASE + dv, [EDGE[1], SPLIT[1]])
+    batch = np.array(solve_shapes(u, v).as_tuple())
+    rows = np.array([solve_shapes(complex(a), complex(b)).as_tuple() for a, b in zip(u, v)]).T
+    assert np.all(np.abs(batch - rows) <= 1e-14 * np.abs(rows))
+    r1, r2 = residuals(solve_shapes(u, v))
+    assert max(np.abs(r1).max(), np.abs(r2).max()) < 1e-13
+
+
+def test_batched_walk_equals_scalar_walk():
+    rng = np.random.default_rng(21)
+    du, dv = rng.uniform(-0.15, 0.15, size=(300, 4)).view(np.complex128).T
+    _, anchors, ev = _walked(BASE + du, BASE + dv)
+    for i in range(du.size):
+        _, one_anchors, one = _walked(complex(BASE + du[i]), complex(BASE + dv[i]))
+        for name in ("m1", "l1", "m2", "l2"):
+            assert abs(getattr(ev, name)[i] - getattr(one, name)) <= 1e-13
+            assert abs(getattr(anchors, name)[1][i] - getattr(one_anchors, name)[1]) <= 1e-13
+
+
+def _shapes_with(bad: complex, row: int) -> TetShapes:
+    z1 = np.full(4, BASE)
+    z1[row] = bad
+    return TetShapes(z1, BASE, BASE, BASE)
+
+
+FAR = (0.293 + 0.368j, 0.651 + 0.541j)  # in the chart, one eigenvalue step away
+BAD_ROWS = {
+    # name: (operation on a batch or on one point, bad point, error type)
+    "chart radius": (solve_shapes, (BASE + CHART_RADIUS + 0.01, BASE), GluingError),
+    "non-finite": (solve_shapes, (complex("nan"), BASE), ValueError),
+    "branch step": (
+        lambda u, v: cusp_eigenvalues(solve_shapes(u, v), BranchAnchors(), commit=True),
+        FAR,
+        GluingError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+@pytest.mark.parametrize("row", [0, 2])
+def test_one_bad_row_refuses_the_batch(name, row):
+    op, bad, error = BAD_ROWS[name]
+    u, v = np.full(4, BASE + 0.01), np.full(4, BASE - 0.01j)
+    op(u, v)
+    u[row], v[row] = bad
+    with pytest.raises(error) as batch_exc:
+        op(u, v)
+    assert batch_exc.value.row == row
+    assert f"row {row}: " in str(batch_exc.value)
+    # the point alone raises the same type, with the same reason
+    with pytest.raises(error) as one_exc:
+        op(*bad)
+    assert type(one_exc.value) is type(batch_exc.value)
+    assert str(one_exc.value) == batch_exc.value.reason
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0])
+def test_degenerate_row_refuses_the_batch(bad):
+    with pytest.raises(GluingError, match="row 3: degenerate") as exc:
+        _shapes_with(bad, 3).check_nondegenerate()
+    assert exc.value.row == 3
+    _shapes_with(BASE, 3).check_nondegenerate()
+
+
+def test_discriminant_walk_gives_up_on_a_row_at_the_branch_locus():
+    # the discriminant vanishes here (0.40 from the base, outside the chart),
+    # so no hop into the endpoint is short enough
+    u, v = 0.8109969658173808 + 0.24844907584178824j, 0.45734774735865463 + 0.8467098623715027j
+    with pytest.raises(GluingError, match="discriminant branch lost") as one_exc:
+        gluing._continued_disc_sqrt(u, v)
+    with pytest.raises(GluingError, match="^row 1: discriminant branch lost") as batch_exc:
+        gluing._continued_disc_sqrt(np.array([BASE, u, BASE]), np.array([BASE, v, BASE]))
+    assert batch_exc.value.row == 1
+    assert batch_exc.value.reason == str(one_exc.value)

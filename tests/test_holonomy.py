@@ -5,6 +5,7 @@ import pytest
 
 from conetube import (
     HolonomyError,
+    Representation,
     RepresentationFamily,
     base_representation,
     build_representation,
@@ -134,3 +135,109 @@ def test_sl2_inverse():
     assert np.max(np.abs(m @ sl2_inverse(m) - np.eye(2))) < 1e-15
     with pytest.raises(HolonomyError):
         sl2_inverse(np.array([[2.0, 0.0], [0.0, 2.0]], dtype=complex))
+
+
+def _printed_m1(m2, l2):
+    """The m1 identity as printed, for a reference evaluation in mpmath."""
+    m2sq = m2 * m2
+    return (1 + l2) ** 2 * (m2sq * m2sq - l2) / (l2 * (l2 + m2sq) * (m2sq - 1))
+
+
+def _printed_l1(m2, l2):
+    """The l1 identity as printed, for a reference evaluation in mpmath."""
+    m2sq = m2 * m2
+    m4 = m2sq * m2sq
+    num = (
+        l2 * l2 * (1 + m4)
+        + l2 * (-1 + 2 * m2sq + 2 * m4 + 2 * m4 * m2sq - m4 * m4)
+        + m4
+        + m4 * m4
+    )
+    return num / (m2sq * (l2 + m2sq) ** 2)
+
+
+# the worst point of `verify --points 200 --seed 1500881322` before the
+# identities were rewritten: the printed l1 form, evaluated in doubles, is
+# 8.5e-7 off its 50-digit value there
+NEAR_BASE = (-1.0000095868622734 + 1.4261465496613182e-05j, -1.0000477446458167 + 9.453003708495187e-06j)
+
+
+def test_trace_identities_match_printed_forms_to_50_digits():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(23)
+    # the cusp eigenvalues of the verify box stay within about 0.2 of -1
+    offsets = rng.uniform(-0.2, 0.2, size=(200, 4)).view(np.complex128)
+    points = [NEAR_BASE] + [(-1 + dm, -1 + dl) for dm, dl in offsets]
+    m2, l2 = np.array(points).T
+    for identity, printed in ((trace_identity_m1, _printed_m1), (trace_identity_l1, _printed_l1)):
+        ref = np.array([complex(printed(mpmath.mpc(a), mpmath.mpc(b))) for a, b in points])
+        tol = 1e-14 * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(identity(m2, l2) - ref) <= tol)
+        assert np.all(np.abs([identity(a, b) for a, b in points] - ref) <= tol)
+
+
+def test_stacked_representations_equal_rows():
+    points = list(_random_points(100, 0.12, seed=3))
+    x, y = np.array(points).T
+    rep = _walk_to(x, y, steps=8)
+    r1, r2 = relation_residuals(rep)
+    comm = commutator_trace_minus2(rep)
+    c1, c2 = cusp_relation_residuals(rep)
+    assert rep.gamma.shape == (100, 2, 2)
+    for i, (xi, yi) in enumerate(points):
+        one = _walk_to(xi, yi, steps=8)
+        for name in ("alpha", "beta", "gamma"):
+            assert np.abs(getattr(rep, name)[i] - getattr(one, name)).max() <= 1e-14
+        # the stacked residuals are the residuals of each row's matrices
+        row = Representation(rep.x[i], rep.y[i], rep.z[i], rep.alpha[i], rep.beta[i], rep.gamma[i])
+        assert (r1[i], r2[i]) == relation_residuals(row)
+        assert comm[i] == commutator_trace_minus2(row)
+        assert (c1[i], c2[i]) == cusp_relation_residuals(row)
+        assert abs(comm[i] - commutator_trace_minus2(one)) <= 1e-14
+    assert max(r1.max(), r2.max()) < 1e-12
+    assert np.abs(comm + y).max() < 1e-12
+
+
+BAD_ROWS = {
+    # name: (operation on (x, y, z), bad point, error type); good rows
+    # are the base point
+    "w = 0": (lambda x, y, z: z_radicand(x, y), (2.0, 0.75, BASE_Z), HolonomyError),
+    "x = 0": (build_representation, (0.0, BASE_Y, BASE_Z), HolonomyError),
+    "z value": (build_representation, (BASE_X, BASE_Y, 1.1 * BASE_Z), HolonomyError),
+    "non-finite": (build_representation, (complex("nan"), BASE_Y, BASE_Z), ValueError),
+    # one z step from the base anchor to y = 3 + 2i is too long
+    "branch step": (
+        lambda x, y, z: RepresentationFamily().representation(x, y),
+        (BASE_X, BASE_Y + 3.0, BASE_Z),
+        HolonomyError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+@pytest.mark.parametrize("row", [0, 2])
+def test_one_bad_row_refuses_the_batch(name, row):
+    op, bad, error = BAD_ROWS[name]
+    batch = [np.full(4, e, dtype=complex) for e in (BASE_X, BASE_Y, BASE_Z)]
+    op(*batch)
+    for column, value in zip(batch, bad):
+        column[row] = value
+    with pytest.raises(error) as batch_exc:
+        op(*batch)
+    assert batch_exc.value.row == row
+    assert f"row {row}: " in str(batch_exc.value)
+    # the point alone raises the same type, with the same reason
+    with pytest.raises(error) as one_exc:
+        op(*bad)
+    assert type(one_exc.value) is type(batch_exc.value)
+    assert str(one_exc.value) == batch_exc.value.reason
+
+
+def test_sl2_inverse_refuses_a_bad_row():
+    m = np.array([[[2.0, 1.0], [3.0, 2.0]]] * 3, dtype=complex)
+    assert np.abs(m @ sl2_inverse(m) - np.eye(2)).max() < 1e-15
+    m[1, 0, 0] = 4.0
+    with pytest.raises(HolonomyError, match="row 1: matrix determinant") as exc:
+        sl2_inverse(m)
+    assert exc.value.row == 1
