@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import ENV_TOL
+from .config import ENV_TOL, TOLERANCES
 from .curves import (
     CurveError,
     expand_from_polynomial,
@@ -122,8 +122,8 @@ def _write(args, payload: dict, header: list[str], rows: list[list]) -> None:
 def _slope_or_exit(parser: _Parser, p: int, q: int, which: str) -> Slope:
     try:
         return Slope.make(p, q)
-    except SurgeryError:
-        parser.error(f"slope not coprime: {which} = ({p}, {q})")
+    except SurgeryError as exc:
+        parser.error(f"{which}: {exc}")
         raise AssertionError("unreachable")
 
 
@@ -168,7 +168,7 @@ def cmd_base(args, parser: _Parser) -> int:
     ev = cusp_eigenvalues(shapes)
     rep = base_representation()
     g1, g2 = (float(g) for g in relation_residuals(rep))
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else TOLERANCES.algebraic
     ok = max(abs(r1), abs(r2), g1, g2) < tol
     payload = {
         "command": "base",
@@ -442,7 +442,7 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
         with _points_from(start):
             r1, r2 = residuals(solve_shapes(base + du, base + dv))
         worst = max(worst, float(np.maximum(abs(r1), abs(r2)).max()))
-    record("gluing_residual", 1e-12, worst)
+    record("gluing_residual", TOLERANCES.algebraic, worst)
 
     # holonomy group relations near the base, walking the z branch in
     # substeps; then the commutator trace identity on the same matrices
@@ -456,7 +456,7 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
             worst_group = max(worst_group, float(np.maximum(*relation_residuals(rep)).max()))
             comm = abs(commutator_trace_minus2(rep) + rep.y)
         worst_comm = max(worst_comm, float(comm.max()))
-    record("group_relations", 1e-11, worst_group)
+    record("group_relations", TOLERANCES.group_relation, worst_group)
     record("commutator_trace", 1e-10, worst_comm)
 
     # cusp trace relations on variety samples; both identities are singular
@@ -476,7 +476,7 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
                 abs(lhs_l - trace_identity_l1(ev.m2, ev.l2)),
             )
         worst = max(worst, float(res.max()))
-    record("cusp_trace_relations", 1e-9, worst)
+    record("cusp_trace_relations", TOLERANCES.trace_relation, worst)
     return checks
 
 

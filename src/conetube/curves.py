@@ -49,8 +49,7 @@ class GeometricCurve:
 
     def series_jet(self, var: str = "dm") -> Jet:
         """l - l0 as a jet in m - m0 (order 3)."""
-        d = variable(var, 3)
-        return self.a1 * d + (self.a2 / 2.0) * d**2 + (self.a3 / 6.0) * d**3
+        return Jet([0.0, self.a1, self.a2 / 2.0, self.a3 / 6.0], var)
 
     def involution_defect(self) -> complex:
         return self.a2 + self.m0 * self.a1 - self.l0 * self.a1 * self.a1

@@ -334,7 +334,8 @@ def jet_exp(f: Jet) -> Jet:
 
 def jet_log(f: Jet, log_of_c0) -> Jet:
     """Series of log f on the sheet where log(c0) = log_of_c0 (per row)."""
-    c0 = f.coeffs[..., 0]
+    c = f.coeffs
+    c0 = c[..., 0]
     log_of_c0 = np.asarray(log_of_c0, dtype=complex)
     _refuse(c0 == 0, JetError, lambda i: "log of a jet with zero constant term")
     miss = np.abs(np.exp(log_of_c0) - c0)
@@ -344,13 +345,13 @@ def jet_log(f: Jet, log_of_c0) -> Jet:
         lambda i: f"exp({complex(np.broadcast_to(log_of_c0, miss.shape)[i])!r}) does not "
         f"match constant term {complex(np.broadcast_to(c0, miss.shape)[i])!r}",
     )
-    u = (f - c0) / c0
-    acc = constant(0.0, f.order, f.var)
-    un = constant(1.0, f.order, f.var)
-    for n in range(1, f.order + 1):
-        un = un * u
-        acc = acc + un * ((-1.0) ** (n + 1) / n)
-    return acc + log_of_c0
+    out = np.empty(miss.shape + c.shape[-1:], dtype=complex)
+    out[..., 0] = log_of_c0
+    for k in range(1, f.order + 1):
+        # f g' = f' for g = log f: k c0 g_k = k c_k - sum_{j<k} j g_j c_{k-j}
+        inner = (out[..., None, 1:k] * np.arange(1, k)) @ c[..., k - 1 : 0 : -1, None]
+        out[..., k] = (c[..., k] - inner[..., 0, 0] / k) / c0
+    return Jet(out, f.var)
 
 
 def jet_sqrt(f: Jet, branch_of_c0) -> Jet:
@@ -387,11 +388,15 @@ def compose(outer: Jet, inner: Jet) -> Jet:
         lambda i: "composition needs inner jet with zero constant term",
     )
     n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    acc = constant(outer.coeffs[..., n], n, inner.var)
-    for k in range(n - 1, -1, -1):
-        acc = acc * inner + outer.coeffs[..., k]
-    return acc
+    a, c = inner.coeffs[..., : n + 1], outer.coeffs
+    # sum_k c_k inner^k, each power of the inner series built once
+    acc = _constant_coeffs(c[..., 0], n + 1)
+    power = a
+    for k in range(1, n + 1):
+        if k > 1:
+            power = _mul(power, a)
+        acc = acc + c[..., k, None] * power
+    return Jet(acc, inner.var)
 
 
 def reversion(f: Jet) -> Jet:
@@ -400,12 +405,15 @@ def reversion(f: Jet) -> Jet:
     _refuse(c[..., 0] != 0, JetError, lambda i: "reversion needs zero constant term")
     _refuse(c[..., 1] == 0, JetError, lambda i: "reversion needs a nonzero linear coefficient")
     n = f.order
+    powers = [c]  # f^1 .. f^(n-1), each built once
+    for _ in range(2, n):
+        powers.append(_mul(powers[-1], c))
     out = np.zeros(c.shape, dtype=complex)
     out[..., 1] = 1.0 / c[..., 1]
     for k in range(2, n + 1):
-        # coefficient of t^k in sum_{j<k} out[j] * f^j must cancel; out[k:]
-        # is still zero, so the partial series is out itself
-        acc = compose(Jet(out.copy(), f.var), f).coeffs[..., k]
+        # the t^k coefficient of sum_j out[j] f^j vanishes; f^k contributes
+        # out[k] c1^k and the lower powers the rest
+        acc = sum(out[..., j] * powers[j - 1][..., k] for j in range(1, k))
         out[..., k] = -acc / c[..., 1] ** k
     return Jet(out, f.var)
 

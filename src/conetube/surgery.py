@@ -1,4 +1,4 @@
-"""Cone-angle filling: closed-form expansions and on-variety solving.
+"""Cone-angle filling: jet expansions and on-variety solving.
 
 A slope (p, q) on the second cusp imposes the filling relation
 
@@ -9,11 +9,12 @@ first cusp is either unfilled (m1 = -1) or filled with its own slope
 (p1 log(-m1) + q1 log(-l1) = pi i).
 
 ``cone_expansion`` produces the order-3 theta-jets of (m2, l2) on a given
-geometric curve, in the closed form valid when the curve satisfies the
-involution constraint a2 = a1 - a1^2. ``solve_cone_structure`` solves the
-same relations numerically on the gluing-variety chart, providing the
-end-to-end check and the filled-curve samplers used for the convergence
-experiment.
+geometric curve: dm2(theta) is the reversion of the filling relation, a
+series in dm2 = m2 + 1, at i theta / 2, and l2(theta) one composition
+with it. The core length comes from the same jets with no dual pair.
+``solve_cone_structure`` solves the same relations numerically on the
+gluing-variety chart, providing the end-to-end check and the filled-curve
+samplers used for the convergence experiment.
 
 Each relation is affine in (m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)),
 so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +45,7 @@ from .gluing import (
     log_eigenvalue_gradients,
     solve_shapes,
 )
-from .jets import Jet, variable, continue_log, BranchError
+from .jets import BranchError, Jet, JetError, compose, continue_log, jet_log, reversion, variable
 
 THETA_MAX = 0.5
 MIN_FILLED_NORM = 8
@@ -52,6 +54,7 @@ _THETA_STEP_MIN = 1e-4
 _TAU_STEP = 0.25
 _TAU_STEP_MIN = 1.0 / 256.0
 _NEWTON_MAX_ITER = 25
+_FLOAT_MAX = int(sys.float_info.max)  # an int compares faster than a float
 
 
 class SurgeryError(ValueError):
@@ -59,10 +62,12 @@ class SurgeryError(ValueError):
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (a, 1, 0)
-    g, x, y = _egcd(b, a % b)
-    return (g, y, x - (a // b) * y)
+    """(g, x, y) with a x + b y = g; a loop, as float-sized slopes outrun recursion."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b, x0, y0, x1, y1 = b, a - k * b, x1, y1, x0 - k * x1, y0 - k * y1
+    return (a, x0, y0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,11 +88,13 @@ class Slope:
     @classmethod
     def make(cls, p: int, q: int) -> "Slope":
         p, q = int(p), int(q)
-        if math.gcd(p, q) != 1:
-            raise SurgeryError(f"slope ({p}, {q}) is not coprime")
+        if abs(p) > _FLOAT_MAX or abs(q) > _FLOAT_MAX:
+            raise SurgeryError(f"slope ({p}, {q}) is too large for a float")
         g, x, y = _egcd(p, q)
         if g < 0:
             g, x, y = -g, -x, -y
+        if g != 1:
+            raise SurgeryError(f"slope ({p}, {q}) is not coprime")
         # p x + q y = 1  ->  s = x, r = -y
         return cls(p=p, q=q, r=-y, s=x)
 
@@ -96,115 +103,97 @@ class Slope:
 class ConeExpansion:
     """Order-3 theta-jets of the filled cusp's eigenvalues on a curve.
 
-    For a tuple of slopes the jets are batches with one row per slope.
+    ``core_jet`` is K = Re(r log(-m2) + s log(-l2)) for real theta, so the
+    core length is 2|K|. For a tuple of slopes the jets are batches with
+    one row per slope.
     """
 
     curve: GeometricCurve
     slope: Slope | tuple[Slope, ...]
     m_jet: Jet
     l_jet: Jet
-    log_combo_jet: Jet
+    core_jet: Jet
 
 
-def _theta_jet(shape: tuple[int, ...], *coeffs) -> Jet:
-    """Theta-jet of the given batch shape; each coefficient broadcasts to it."""
-    out = np.empty(shape + (len(coeffs),), dtype=complex)
-    for k, c in enumerate(coeffs):
-        out[..., k] = c
-    return Jet(out, "theta")
+# The k-th theta-coefficients scale as |p + a1 q|^-k, and the tube's
+# products of them reach |p + a1 q|^-4. On the unfilled curve k stays
+# exact to 1e-15 through |p| + |q| = 10^76; from 10^77 those products
+# underflow and k drifts (4e-14 there, 3e-2 at 10^80) before any guard
+# trips. Hence the refusal well below that.
+MAX_CONE_NORM = 1e60
 
 
-def cone_expansion(curve: GeometricCurve, slope: Slope | Sequence[Slope]) -> ConeExpansion:
-    """Closed-form jets of m2, l2 and r log(-m2) + s log(-l2) in theta.
+@dataclasses.dataclass(frozen=True)
+class CurveJets:
+    """The slope-free jets in dm = m + 1 that every cone expansion reads.
+
+    ``of`` runs the curve guards of ``cone_expansion`` once, so a scan
+    builds these once and expands each block of slopes from them.
+    """
+
+    curve: GeometricCurve
+    dl: Jet  # l + 1
+    logs: Jet  # two rows: log(-m) and log(-l(m))
+
+    @classmethod
+    def of(cls, curve: GeometricCurve) -> "CurveJets":
+        if (curve.m0, curve.l0) != (-1, -1):
+            raise SurgeryError("cone expansion implemented only at base (-1, -1)")
+        if abs(curve.involution_defect()) > 1e-9:
+            raise SurgeryError(
+                f"curve violates involution constraint by {curve.involution_defect()!r}"
+            )
+        if curve.a1.imag == 0:
+            raise SurgeryError("curve slope a1 must have nonzero imaginary part")
+        dl = curve.series_jet("dm")
+        # -m = 1 - dm and -l = 1 - dl, both 1 at the base
+        logs = jet_log(1.0 - Jet(np.stack([variable("dm", 3).coeffs, dl.coeffs]), "dm"), 0.0)
+        return cls(curve=curve, dl=dl, logs=logs)
+
+
+def cone_expansion(
+    curve: GeometricCurve | CurveJets, slope: Slope | Sequence[Slope]
+) -> ConeExpansion:
+    """Jets of m2, l2 and the core-length K in theta, by series reversion.
+
+    The filling relation p log(-m) + q log(-l(m)) = i theta / 2 is a series
+    in dm = m + 1; its reversion at i theta / 2 gives dm(theta), and
+    composing the curve with it gives l(theta). Since that combination is
+    imaginary and ps - qr = 1, K = Re(r log(-m) + s log(-l)) equals
+    Re(p log(-l) - q log(-m)) / (p^2 + q^2), which needs no dual pair.
 
     Requires the involution-constrained curve (a2 = a1 - a1^2) at
-    (-1, -1); the coefficient formulas below are the specialization to
-    that case. They broadcast over (p, q, r, s): given a sequence of slopes
-    the jets carry one row per slope, in order.
+    (-1, -1). Given a sequence of slopes the jets carry one row per slope,
+    in order. A slope with |p| + |q| above ``MAX_CONE_NORM`` is refused by a
+    ``JetError``, which names its row in a batch.
     """
-    if (curve.m0, curve.l0) != (-1, -1):
-        raise SurgeryError("cone expansion implemented only at base (-1, -1)")
-    if abs(curve.involution_defect()) > 1e-9:
-        raise SurgeryError(
-            f"curve violates involution constraint by {curve.involution_defect()!r}"
+    jets = curve if isinstance(curve, CurveJets) else CurveJets.of(curve)
+    single = isinstance(slope, Slope)
+    batch = (slope,) if single else tuple(slope)
+    p, q = np.array([(x.p, x.q) for x in batch], dtype=float).reshape(-1, 2).T
+    big = np.abs(p) > MAX_CONE_NORM - np.abs(q)  # |p| + |q| may overflow
+    if big.any():
+        raise JetError(
+            f"|p| + |q| above {MAX_CONE_NORM:.0e}, where the theta-jets underflow",
+            None if single else int(np.argmax(big)),
         )
-    a1, a3 = curve.a1, curve.a3
-    if a1.imag == 0:
-        raise SurgeryError("curve slope a1 must have nonzero imaginary part")
-    if isinstance(slope, Slope):
-        p, q, r, s = np.array((slope.p, slope.q, slope.r, slope.s), dtype=float)
-    else:
-        slope = tuple(slope)
-        p, q, r, s = np.array([(x.p, x.q, x.r, x.s) for x in slope], dtype=float).reshape(-1, 4).T
-    # a slope too large for floats overflows here; the jets' finiteness
-    # check then refuses its row with a reason, so numpy need not warn too
-    with np.errstate(over="ignore", invalid="ignore"):
-        P = p + a1 * q
-        shape = np.shape(P)
-        m_jet = _theta_jet(
-            shape,
-            -1.0,
-            -0.5j / P,
-            0.125 / P**2,
-            1j * (p + (3 * a1 - 3 * a1**2 + a1**3 - a3) * q) / (48.0 * P**4),
-        )
-        l_jet = _theta_jet(
-            shape,
-            -1.0,
-            -0.5j * a1 / P,
-            0.125 * a1**2 / P**2,
-            1j * ((-2 * a1 + 3 * a1**2 + a3) * p + a1**4 * q) / (48.0 * P**4),
-        )
-        combo = _theta_jet(
-            shape,
-            0.0,
-            0.5j * (r + a1 * s) / P,
-            0.0,
-            1j * (2 * a1 - 3 * a1**2 + a1**3 - a3) * (p * s - q * r) / (48.0 * P**4),
-        )
-    return ConeExpansion(curve=curve, slope=slope, m_jet=m_jet, l_jet=l_jet, log_combo_jet=combo)
-
-
-def cone_derivatives_general(curve: GeometricCurve, slope: Slope) -> tuple[Jet, Jet]:
-    """Theta-jets of (m2, l2) without assuming the involution constraint.
-
-    Independent derivation kept as a cross-check of ``cone_expansion``;
-    the two agree exactly when a2 = a1 - a1^2.
-    """
-    if (curve.m0, curve.l0) != (-1, -1):
-        raise SurgeryError("cone expansion implemented only at base (-1, -1)")
-    a1, a2, a3 = curve.a1, curve.a2, curve.a3
-    p, q = slope.p, slope.q
-    P = p + a1 * q
-    if P == 0:
-        raise SurgeryError("p + a1 q vanished; slope is degenerate on this curve")
-    th = variable("theta", 3)
-    dm1 = -0.5j / P
-    dm2 = (p + (a1**2 + a2) * q) / (4.0 * P**3)
-    dm3 = (
-        1j
-        * (
-            p**2
-            + (6 * a1**2 - 2 * a1**3 + 6 * a2 - 2 * a1 - 3 * a1 * a2 - a3) * p * q
-            + (a1**4 + 3 * a1**2 * a2 + 3 * a2**2 - a1 * a3) * q**2
-        )
-        / (8.0 * P**5)
+    # one row per slope: p and q as columns against the dm coefficients
+    p, q = (p[0], q[0]) if single else (p[:, None], q[:, None])
+    log_m, log_l = jets.logs.coeffs
+    inverse = reversion(Jet(p * log_m + q * log_l, "dm"))  # dm in terms of the relation
+    dm = Jet(inverse.coeffs * 0.5j ** np.arange(inverse.order + 1), "theta")  # at i theta / 2
+    # l + 1 and p log(-l) - q log(-m), stacked to share dm's powers in compose
+    dual_free = p * log_l - q * log_m
+    outer = np.empty((2,) + dual_free.shape, dtype=complex)
+    outer[0], outer[1] = jets.dl.coeffs, dual_free
+    dl, core = compose(Jet(outer, "dm"), dm).coeffs
+    return ConeExpansion(
+        curve=jets.curve,
+        slope=slope if single else batch,
+        m_jet=dm - 1.0,
+        l_jet=Jet(dl, "theta") - 1.0,
+        core_jet=Jet(core.real / (p * p + q * q), "theta"),
     )
-    dl1 = -0.5j * a1 / P
-    dl2 = ((a1 - a2) * p + a1**3 * q) / (4.0 * P**3)
-    dl3 = (
-        1j
-        * (
-            (a1 - 3 * a2 + a3) * p**2
-            + (6 * a1**3 - 2 * a1**4 - 2 * a1**2 - 6 * a1**2 * a2 - 3 * a2**2
-               + 3 * a1 * a2 + a1 * a3) * p * q
-            + a1**5 * q**2
-        )
-        / (8.0 * P**5)
-    )
-    m_jet = -1.0 + dm1 * th + (dm2 / 2.0) * th**2 + (dm3 / 6.0) * th**3
-    l_jet = -1.0 + dl1 * th + (dl2 / 2.0) * th**2 + (dl3 / 6.0) * th**3
-    return m_jet, l_jet
 
 
 @dataclasses.dataclass

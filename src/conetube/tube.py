@@ -31,6 +31,7 @@ from .curves import GeometricCurve
 from .jets import Jet, JetError, jet_sqrt, real_modulus_jet
 from .surgery import (
     ConeExpansion,
+    CurveJets,
     Slope,
     SolvedStructure,
     cone_expansion,
@@ -198,24 +199,27 @@ def _mu_hat_sq_jet(ce: ConeExpansion) -> Jet:
 
     Every absolute value is expanded with its leading theta-power factored
     explicitly (the commutator trace and its denominator both vanish to
-    first order; the peripheral trace-square defect to second). No
+    first order), or is a square's: |tr^2 g - 4| = |m - 1/m|^2. No
     precomputed expansion constants enter.
     """
     m, l = ce.m_jet, ce.l_jet
-    num = (m * m - 1.0) * (1.0 - l)
-    den = m * m + l
+    mm = m * m
+    num = (mm - 1.0) * (1.0 - l)
+    den = mm + l
     # tr[w,g] - 2 = -num/den; both factors vanish at theta = 0
     trc = -(num.shift_down(1) / den.shift_down(1))
-    s2 = ((m * m - 1.0) / m) ** 2  # tr^2 g - 4, vanishing to order 2
+    g = (mm - 1.0) / m  # m - 1/m, vanishing at theta = 0
+    s2 = g * g  # tr^2 g - 4
 
     x = real_modulus_jet(trc, 0)
     y = real_modulus_jet(s2 - trc, 0)
-    z = real_modulus_jet(s2, 2)
+    z = (g * g.conjugate_coefficients()).real_part()  # |g|^2 for real theta
     tanh_sq = (x + y - z) / (x + y + z)
     tanh_r = jet_sqrt(tanh_sq, 1.0)
 
-    combo_over_theta = ce.log_combo_jet.real_part().shift_down(1)
-    t_hat = 2.0 * real_modulus_jet(combo_over_theta, 0)
+    # t = 2|K| and K vanishes at theta = 0, so t / theta = 2 sign(K_1) K / theta
+    k_over_theta = ce.core_jet.shift_down(1)
+    t_hat = k_over_theta * (2.0 * np.sign(k_over_theta[0].real))
     return tanh_r / t_hat
 
 
@@ -228,10 +232,11 @@ def k_expansions(curve: GeometricCurve, slopes: Sequence[Slope]) -> list[KExpans
     """
     slopes = list(slopes)
     out: list[KExpansion] = []
+    jets = CurveJets.of(curve)
     for start in range(0, len(slopes), _SCAN_BLOCK):
         block = slopes[start : start + _SCAN_BLOCK]
         try:
-            mu_hat_sq = _mu_hat_sq_jet(cone_expansion(curve, block))
+            mu_hat_sq = _mu_hat_sq_jet(cone_expansion(jets, block))
         except JetError as exc:
             if exc.row is None:
                 raise

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conetube import Slope, whitehead_k_reference
+from conetube import TOLERANCES, Slope, whitehead_k_reference
 from conetube import cli
 from conetube.cli import main
 
@@ -52,6 +52,18 @@ def test_non_coprime_slope_exits_3(capsys):
     with pytest.raises(SystemExit) as err:
         main(["acoeffs", "--p1", "4", "--q1", "2"])
     assert err.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["kcoeffs", "--p2", "1", "--q2", str(10**400)],
+    ["tube", "--p2", "1", "--q2", str(10**400), "--theta", "0.1"],
+    ["acoeffs", "--p1", "1", "--q1", str(10**400)],
+])
+def test_slope_too_large_for_a_float_exits_3(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 3
+    assert f"slope (1, {10**400}) is too large for a float" in capsys.readouterr().err
 
 
 def test_partial_slope_pair_exits_3(capsys):
@@ -136,6 +148,20 @@ def test_env_tol_fallback(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--points", "5")
     assert code == 3
     assert "CONETUBE_TOL" in err
+
+
+def test_verify_reads_the_shared_tolerances(capsys, monkeypatch):
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    monkeypatch.setattr(TOLERANCES, "trace_relation", 0.25)
+    code, out, _ = run(capsys, "verify", "--points", "5")
+    assert code == 0
+    tols = {c["check"]: c["tol"] for c in json.loads(out)["checks"]}
+    assert tols == {
+        "gluing_residual": TOLERANCES.algebraic,
+        "group_relations": TOLERANCES.group_relation,
+        "commutator_trace": 1e-10,
+        "cusp_trace_relations": 0.25,
+    }
 
 
 def test_explicit_tol_beats_env(capsys, monkeypatch):

@@ -9,7 +9,6 @@ from conetube import (
     GeometricCurve,
     Slope,
     SurgeryError,
-    cone_derivatives_general,
     cone_expansion,
     compose,
     convergence_table,
@@ -31,12 +30,54 @@ from conetube.surgery import (
 from tests.conftest import A1, A2, A3
 
 
+def cone_derivatives_general(curve: GeometricCurve, slope: Slope):
+    """Theta-jets of (m2, l2) without assuming the involution constraint.
+
+    Hand-derived closed forms of the first three theta-derivatives, an
+    independent oracle for ``cone_expansion``; the two agree exactly when
+    a2 = a1 - a1^2.
+    """
+    a1, a2, a3 = curve.a1, curve.a2, curve.a3
+    p, q = slope.p, slope.q
+    P = p + a1 * q
+    th = variable("theta", 3)
+    dm1 = -0.5j / P
+    dm2 = (p + (a1**2 + a2) * q) / (4.0 * P**3)
+    dm3 = (
+        1j
+        * (
+            p**2
+            + (6 * a1**2 - 2 * a1**3 + 6 * a2 - 2 * a1 - 3 * a1 * a2 - a3) * p * q
+            + (a1**4 + 3 * a1**2 * a2 + 3 * a2**2 - a1 * a3) * q**2
+        )
+        / (8.0 * P**5)
+    )
+    dl1 = -0.5j * a1 / P
+    dl2 = ((a1 - a2) * p + a1**3 * q) / (4.0 * P**3)
+    dl3 = (
+        1j
+        * (
+            (a1 - 3 * a2 + a3) * p**2
+            + (6 * a1**3 - 2 * a1**4 - 2 * a1**2 - 6 * a1**2 * a2 - 3 * a2**2
+               + 3 * a1 * a2 + a1 * a3) * p * q
+            + a1**5 * q**2
+        )
+        / (8.0 * P**5)
+    )
+    m_jet = -1.0 + dm1 * th + (dm2 / 2.0) * th**2 + (dm3 / 6.0) * th**3
+    l_jet = -1.0 + dl1 * th + (dl2 / 2.0) * th**2 + (dl3 / 6.0) * th**3
+    return m_jet, l_jet
+
+
 def test_slope_duals():
     s = Slope.make(1, 0)
     assert (s.r, s.s) == (0, 1)
     s = Slope.make(0, 1)
     assert (s.r, s.s) == (-1, 0)
-    for p, q in [(3, -2), (-5, 3), (40, 1), (7, 11), (-9, -2)]:
+    fib = [1, 1]
+    while fib[-1] < 10**300:  # more Euclid steps than the recursion limit
+        fib.append(fib[-1] + fib[-2])
+    for p, q in [(3, -2), (-5, 3), (40, 1), (7, 11), (-9, -2), (fib[-2], fib[-1])]:
         s = Slope.make(p, q)
         assert s.p * s.s - s.q * s.r == 1
 
@@ -54,8 +95,25 @@ def test_cone_expansion_matches_general_derivatives(poly_curve):
         ce = cone_expansion(curve, Slope.make(p, q))
         dm_jet, dl_jet = cone_derivatives_general(curve, Slope.make(p, q))
         for k in range(4):
-            assert abs(ce.m_jet[k] - dm_jet[k]) < 1e-13 * max(1, abs(dm_jet[k]))
-            assert abs(ce.l_jet[k] - dl_jet[k]) < 1e-13 * max(1, abs(dl_jet[k]))
+            assert abs(ce.m_jet[k] - dm_jet[k]) <= 1e-13 * abs(dm_jet[k])
+            assert abs(ce.l_jet[k] - dl_jet[k]) <= 1e-13 * abs(dl_jet[k])
+
+
+def test_core_jet_equals_the_dual_pair_form(poly_curve):
+    # K = Re(r log(-m) + s log(-l)) for every dual (r, s) of the slope
+    curve = poly_curve.symmetrized()
+    slopes = [
+        Slope.make(p, q)
+        for q in range(0, 31)
+        for p in range(q - 30, 31 - q)
+        if math.gcd(p, q) == 1 and (q > 0 or p == 1)
+    ]
+    ce = cone_expansion(curve, slopes)
+    r = np.array([sl.r for sl in slopes], dtype=float)
+    s = np.array([sl.s for sl in slopes], dtype=float)
+    dual = (jet_log(-ce.m_jet, 0.0) * r + jet_log(-ce.l_jet, 0.0) * s).real_part()
+    assert ce.core_jet.coeffs.shape == (len(slopes), 4)
+    assert np.abs(ce.core_jet.coeffs - dual.coeffs).max() <= 1e-13
 
 
 def test_cone_expansion_requires_symmetry():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,9 +310,9 @@ def test_k_expansions_equal_one_slope_at_a_time(poly_curve):
 
 def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
     curve = poly_curve.symmetrized()
-    # at this norm the theta-jet of the commutator trace loses its constant
-    # term to rounding, so the modulus guard refuses the slope
-    bad = Slope.make(1, 10**40)
+    # above MAX_CONE_NORM the norm guard refuses the slope, before the
+    # theta-jets' coefficients underflow in the tube's products
+    bad = Slope.make(1, 10**70)
     with pytest.raises(JetError) as one:
         k_expansion_closed_form(curve, bad)
     slopes = _coprime_slopes(30)
@@ -320,4 +321,39 @@ def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
         k_expansions(curve, slopes)
     assert type(scan.value) is type(one.value)
     assert str(scan.value) == str(one.value)
-    assert str(one.value).startswith(f"slope (1, {10**40}): leading power 0 declared")
+    assert str(one.value).startswith(f"slope (1, {10**70}): |p| + |q| above 1e+60")
+
+
+def _exact_k(p: int, q: int) -> tuple[Fraction, Fraction]:
+    """``whitehead_k_reference`` in exact rationals, for slopes beyond floats' reach."""
+    d = p * p + 4 * p * q + 8 * q * q
+    k1 = Fraction(-(p**4 + 8 * p**3 * q + 48 * p**2 * q**2 + 128 * p * q**3 + 128 * q**4))
+    return Fraction(d, 2), k1 / (12 * d * d)
+
+
+def _relative_gap(k, p: int, q: int) -> float:
+    k0, k1 = _exact_k(p, q)
+    return float(max(abs(Fraction(k.k0) - k0) / abs(k0), abs(Fraction(k.k1) - k1) / abs(k1)))
+
+
+def test_k_expansions_hold_at_large_slopes(poly_curve):
+    curve = poly_curve.symmetrized()
+    for p, q in [(1, 10**40), (10**40, 1), (3, 10**8 + 1)]:
+        assert _relative_gap(k_expansion_closed_form(curve, Slope.make(p, q)), p, q) <= 1e-14
+
+
+def test_k_expansions_are_right_or_refused_up_to_float_range(poly_curve):
+    curve = poly_curve.symmetrized()
+    computed = refused = 0
+    for e in range(2, 301):
+        n = 10**e
+        for p, q in [(1, n), (n, 1), (3, n + 1), (n + 1, -n)]:
+            try:
+                k = k_expansion_closed_form(curve, Slope.make(p, q))
+            except ValueError as exc:
+                assert str(exc).startswith(f"slope ({p}, {q}): ")
+                refused += 1
+                continue
+            assert _relative_gap(k, p, q) <= 1e-12, (p, q)
+            computed += 1
+    assert computed and refused
