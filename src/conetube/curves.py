@@ -14,7 +14,8 @@ differences with Richardson extrapolation, then reverts and composes jets
 to eliminate the parameter.
 
 The involution (l, m) -> (1/l, 1/m) preserves the varieties of interest;
-``involution_defect`` measures the induced constraint a2 = -m0 a1 + l0 a1^2.
+``GeometricCurve.involution_defect`` measures the induced constraint
+a2 = -m0 a1 + l0 a1^2.
 """
 
 from __future__ import annotations
@@ -54,17 +55,10 @@ class GeometricCurve:
     def involution_defect(self) -> complex:
         return self.a2 + self.m0 * self.a1 - self.l0 * self.a1 * self.a1
 
-    def is_involution_symmetric(self, tol: float = 1e-9) -> bool:
-        return abs(self.involution_defect()) < tol
-
     def symmetrized(self) -> "GeometricCurve":
         """Snap a2 onto the involution constraint; a1, a3 unchanged."""
         a2 = -self.m0 * self.a1 + self.l0 * self.a1 * self.a1
         return dataclasses.replace(self, a2=a2)
-
-
-def involution_defect(curve: GeometricCurve) -> complex:
-    return curve.involution_defect()
 
 
 @dataclasses.dataclass(frozen=True)

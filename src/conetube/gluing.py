@@ -312,33 +312,3 @@ def cusp_eigenvalues(
         m2=-s_m2,
         l2=-ratio2 * s_l2,
     )
-
-
-def alternate_eigenvalues(
-    s: TetShapes, anchors: BranchAnchors | None = None
-) -> CuspEigenvalues:
-    """The second printed form of each eigenvalue, for consistency checks.
-
-    The first gluing equation makes (1-z4)/(1-z2) = (1-z3)/(1-z1) and
-    (1-z2)/(1-z1) = (1-z4)/(1-z3); on the variety these agree with
-    ``cusp_eigenvalues`` and off it they differ. Never commits anchors.
-    """
-    if anchors is None:
-        anchors = BranchAnchors()
-    z1, z2, z3, z4 = s.as_tuple()
-    _, arg_l1, _, arg_l2 = sqrt_arguments(s)
-    ratio1 = (1 - z3) / (1 - z1)
-    ratio2 = (1 - z4) / (1 - z3)
-    try:
-        s_m1 = continue_sqrt(ratio1, *anchors.m1)
-        s_l1 = continue_sqrt(arg_l1, *anchors.l1)
-        s_m2 = continue_sqrt(ratio2, *anchors.m2)
-        s_l2 = continue_sqrt(arg_l2, *anchors.l2)
-    except BranchError as exc:
-        raise GluingError(f"eigenvalue branch lost: {exc}") from exc
-    return CuspEigenvalues(
-        m1=-s_m1,
-        l1=-ratio1 * s_l1,
-        m2=-s_m2,
-        l2=-ratio2 * s_l2,
-    )

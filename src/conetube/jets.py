@@ -23,9 +23,9 @@ branch points:
 * ``sqrt`` and ``log`` never choose a branch. The caller passes the value at
   the constant term (a number whose square, or exponential, matches ``c0``)
   and the series is built on that sheet.
-* Branch continuation helpers (``continue_sqrt``, ``continue_log``,
-  ``sqrt_along_path``, ``log_along_path``) carry a branch along a path of
-  arguments, refusing steps large enough to be ambiguous. ``continue_sqrt``
+* ``continue_sqrt`` and ``continue_log`` take one continuation step of a
+  branch from a known (argument, value) anchor, refusing a step large
+  enough to be ambiguous; the caller subdivides its own path. ``continue_sqrt``
   also steps every row of an array at once.
 
 Every guard (a branch value that does not match ``c0``, division by a series
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -150,6 +150,9 @@ class Jet:
     """
 
     __slots__ = ("coeffs", "var")
+    # an ndarray on the left of an operator defers to the reflected method,
+    # which takes it as one constant per row, instead of looping over it
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, var: str = "t") -> None:
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -258,11 +261,6 @@ class Jet:
             if n:
                 base = base * base
         return constant(1.0, self.order, self.var) if acc is None else acc
-
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise JetError("cannot extend a jet; higher coefficients are unknown")
-        return Jet(self.coeffs[..., : order + 1], self.var)
 
     def shift_down(self, k: int, rel_tol: float = 1e-9) -> "Jet":
         """Divide by var**k; the first k coefficients must already vanish."""
@@ -446,7 +444,6 @@ def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
 # branch continuation
 
 _MAX_REL_STEP = 0.5
-_MAX_DEPTH = 60
 
 
 def continue_sqrt(arg, anchor_arg, anchor_value):
@@ -491,40 +488,3 @@ def continue_log(arg: complex, anchor_arg: complex, anchor_value: complex) -> co
             f"relative step {abs(ratio - 1.0):.3f} exceeds {_MAX_REL_STEP}; subdivide the path"
         )
     return anchor_value + cmath.log(ratio)
-
-
-def _walk(path: Sequence[complex], start: complex, step: Callable) -> complex:
-    value = complex(start)
-    prev = complex(path[0])
-    for target in path[1:]:
-        target = complex(target)
-        # subdivide straight segments until each hop is unambiguous
-        stack = [target]
-        depth = 0
-        while stack:
-            nxt = stack[-1]
-            try:
-                value = step(nxt, prev, value)
-            except BranchError:
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    raise BranchError("path passes too close to a branch point")
-                stack.append((prev + nxt) / 2.0)
-                continue
-            prev = nxt
-            stack.pop()
-    return value
-
-
-def sqrt_along_path(path: Sequence[complex], start_value: complex) -> complex:
-    """Continue sqrt along a path of arguments, starting from a known value."""
-    if abs(start_value**2 - path[0]) > 1e-8 * max(1.0, abs(path[0])):
-        raise BranchError("start value is not a square root of the first path point")
-    return _walk(path, start_value, continue_sqrt)
-
-
-def log_along_path(path: Sequence[complex], start_value: complex) -> complex:
-    """Continue log along a path of arguments, starting from a known value."""
-    if abs(cmath.exp(start_value) - path[0]) > 1e-8 * abs(path[0]):
-        raise BranchError("start value is not a logarithm of the first path point")
-    return _walk(path, start_value, continue_log)

@@ -327,7 +327,11 @@ class _ChartWalker:
         self.u, self.v = pt.u, pt.v
 
     def newton(self, residual: _Residual) -> VarietyPoint:
-        """Solve residual = 0 from the current committed point."""
+        """Solve residual = 0 from the current committed point.
+
+        Only the converged point is committed: a refusal leaves the walker
+        as it was.
+        """
         u, v = self.u, self.v
         tol = TOLERANCES.newton
         polish = False
@@ -372,13 +376,9 @@ def _continue_parameter(
     pt = walker.evaluate(walker.u, walker.v)
     while t < target:
         nxt = min(target, t + step)
-        saved = walker.clone()
         try:
             pt = walker.newton(make_residual(nxt))
         except (SurgeryError, GluingError):
-            walker.u, walker.v = saved.u, saved.v
-            walker.anchors = saved.anchors
-            walker.logs = saved.logs
             step /= 2.0
             if step < min_step:
                 raise
@@ -447,18 +447,16 @@ def unfilled_curve_sampler() -> Callable[[complex], tuple[complex, complex]]:
     return _meridian_pinned_sampler(_ChartWalker(), _first_cusp_residual(None, 1.0))
 
 
-def filled_curve_sampler(
-    slope1: Slope, min_norm: int = MIN_FILLED_NORM
-) -> Callable[[complex], tuple[complex, complex]]:
+def filled_curve_sampler(slope1: Slope) -> Callable[[complex], tuple[complex, complex]]:
     """Sampler of the second-cusp curve with the first cusp filled along slope1.
 
     Solves the filled base point once; each sample is an independent Newton
     solve from a cloned walker, so the sampler is reentrant. Small slopes
     put the filled base point outside the chart, hence the norm floor.
     """
-    if abs(slope1.p) + abs(slope1.q) < min_norm:
+    if abs(slope1.p) + abs(slope1.q) < MIN_FILLED_NORM:
         raise SurgeryError(
-            f"|p1| + |q1| = {abs(slope1.p) + abs(slope1.q)} below floor {min_norm}"
+            f"|p1| + |q1| = {abs(slope1.p) + abs(slope1.q)} below floor {MIN_FILLED_NORM}"
         )
     return _meridian_pinned_sampler(
         _filled_base_walker(slope1), _first_cusp_residual(slope1, 1.0)

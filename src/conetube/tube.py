@@ -8,11 +8,12 @@ under the tie-class element gives the radius R; in trace terms
 
 where g is the peripheral element with eigenvalue m2 and w the tie class
 (bc is the off-diagonal product of w in the frame diagonalizing g). The
-commutator trace comes from the eigenvalue relation
+commutator trace is the holonomy family's parameter: tr[w, g] - 2 = -y,
+with y = ``holonomy.y_from_l2(m2, l2)`` = (m2^2 - 1)(1 - l2) / (m2^2 + l2).
 
-    tr[w, g] - 2 = -(m2^2 - 1)(1 - l2) / (m2^2 + l2).
-
-From R, the core length t, and the cone angle theta: meridian length
+The core length has one definition, t = 2 |Re(r log(-m2) + s log(-l2))|
+for the dual (r, s) of the slope, taken from the branch-continued logs
+the solver carries. From R, t, and the cone angle theta: meridian length
 mu = theta sinh R, tube-boundary area theta t sinh R cosh R, and the
 normalized square mu_hat^2 = theta tanh(R)/t, whose small-angle expansion
 mu_hat^2 = k0 + k1 theta^2 is produced both numerically and by a jet
@@ -28,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import GeometricCurve
+from .holonomy import y_from_l2
 from .jets import Jet, JetError, jet_sqrt, real_modulus_jet
 from .surgery import (
     ConeExpansion,
@@ -38,49 +40,9 @@ from .surgery import (
     solve_cone_structure,
 )
 
-INFINITY = complex(math.inf, 0.0)
-
 
 class TubeError(ValueError):
     pass
-
-
-def _homogeneous(w: complex) -> tuple[complex, complex]:
-    if isinstance(w, (int, float)) and math.isinf(w):
-        return (1.0 + 0j, 0j)
-    w = complex(w)
-    if math.isinf(w.real) or math.isinf(w.imag):
-        return (1.0 + 0j, 0j)
-    return (w, 1.0 + 0j)
-
-
-def cross_ratio(w1, w2, w3, w4) -> complex:
-    """(w1-w3)(w2-w4) / ((w1-w4)(w2-w3)) on the extended plane.
-
-    Points at infinity are handled projectively; the lines are (w1, w2)
-    and (w3, w4), and endpoints must be distinct within each pair.
-    """
-    h = [_homogeneous(w) for w in (w1, w2, w3, w4)]
-
-    def det(a, b) -> complex:
-        return a[0] * b[1] - a[1] * b[0]
-
-    if det(h[0], h[1]) == 0 or det(h[2], h[3]) == 0:
-        raise TubeError("degenerate line: repeated endpoint within a pair")
-    num = det(h[0], h[2]) * det(h[1], h[3])
-    den = det(h[0], h[3]) * det(h[1], h[2])
-    if den == 0:
-        raise TubeError("coincident endpoints across pairs")
-    return num / den
-
-
-def line_distance(w1, w2, w3, w4) -> float:
-    """Hyperbolic distance between the geodesics (w1, w2) and (w3, w4)."""
-    cr = cross_ratio(w1, w2, w3, w4)
-    if cr == 1.0:
-        raise TubeError("cross-ratio 1: degenerate line configuration")
-    cosh_d = (1.0 + abs(cr)) / abs(1.0 - cr)
-    return math.acosh(max(1.0, cosh_d))
 
 
 def tube_cosh2R(tr_comm_minus2: complex, tr_peripheral: complex) -> float:
@@ -90,43 +52,6 @@ def tube_cosh2R(tr_comm_minus2: complex, tr_peripheral: complex) -> float:
         raise TubeError("parabolic peripheral element: tube radius undefined")
     bc = -complex(tr_comm_minus2) / denom
     return abs(bc) + abs(bc + 1.0)
-
-
-def tube_cosh2R_trace_form(tr_comm_minus2: complex, tr_peripheral: complex) -> float:
-    """The same radius from the printed trace display.
-
-    (|tr[w,g] - 2| + |tr^2 g - tr[w,g] - 2|) / |tr^2 g - 4|; algebraically
-    identical to ``tube_cosh2R`` since tr^2 g - tr[w,g] - 2 =
-    (tr^2 g - 4)(1 + bc). Kept as an independent expression for the
-    agreement check; the bc form is the one used downstream.
-    """
-    tsq = tr_peripheral * tr_peripheral
-    denom = tsq - 4.0
-    if abs(denom) < 1e-14:
-        raise TubeError("parabolic peripheral element: tube radius undefined")
-    t = complex(tr_comm_minus2)
-    return (abs(t) + abs(tsq - (t + 2.0) - 2.0)) / abs(denom)
-
-
-def commutator_trace_minus2_from_eigenvalues(m2: complex, l2: complex) -> complex:
-    """tr[w, g] - 2 on the variety, as a function of the cusp eigenvalues."""
-    den = m2 * m2 + l2
-    if den == 0:
-        raise TubeError("eigenvalue relation singular: m2^2 + l2 = 0")
-    return -(m2 * m2 - 1.0) * (1.0 - l2) / den
-
-
-def core_length(m2: complex, l2: complex, slope: Slope) -> float:
-    """t = 2 |Re(r log(-m2) + s log(-l2))| for the dual (r, s) of the slope.
-
-    The real part of a logarithm is branch-free (log moduli), so this is
-    computed directly; it is also independent of the choice of dual pair
-    on solved structures, where p log(-m2) + q log(-l2) is imaginary.
-    """
-    am, al = abs(m2), abs(l2)
-    if am == 0 or al == 0:
-        raise TubeError("degenerate eigenvalue for core length")
-    return 2.0 * abs(slope.r * math.log(am) + slope.s * math.log(al))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,7 +79,7 @@ def measure_tube(structure: SolvedStructure) -> TubeMeasurement:
     if theta <= 0:
         raise TubeError("theta = 0 is the cusp limit: no tube to measure")
     ev = structure.point.eigenvalues
-    trc = commutator_trace_minus2_from_eigenvalues(ev.m2, ev.l2)
+    trc = -y_from_l2(ev.m2, ev.l2)
     trp = ev.m2 + 1.0 / ev.m2
     c2r = tube_cosh2R(trc, trp)
     R = 0.5 * math.acosh(max(1.0, c2r))
@@ -299,21 +224,32 @@ def fit_k_expansion(
     return float(coeffs[0]), float(coeffs[1])
 
 
-def _k1_rational(x: np.ndarray) -> np.ndarray:
-    num = -(x**4 + 8 * x**3 + 48 * x**2 + 128 * x + 128)
-    den = 12.0 * (x**2 + 4 * x + 8) ** 2
-    return num / den
+# k1 of whitehead_k_reference at x = p/q is N(x) / (12 D(x)^2); ascending powers
+_K1_NUM = (-128.0, -128.0, -48.0, -8.0, -1.0)
+_K1_DEN = (8.0, 4.0, 1.0)
 
 
 def k1_range_check(samples: int = 1_000_000) -> tuple[float, float]:
     """Extrema of the k1 rational function over slopes x = p/q.
 
-    Dense grid on [-1e4, 1e4] (graded toward the origin where the
-    structure lives) plus the x -> +-infinity limit -1/12, then ternary
-    refinement around every interior extremum bracket.
+    The interior extrema sit at the real roots of the derivative's
+    numerator N'D - 2ND' (D has no real root), and the x -> +-infinity
+    limit is -1/12. The real part of a complex root is just another point
+    of the line, so taking every root's real part cannot widen the range.
+    A dense grid on [-1e4, 1e4], graded toward the origin where the
+    structure lives, joins those values as a cross-check.
     """
+    # only this check needs numpy.polynomial; importing it here keeps it
+    # out of the package import
+    from numpy.polynomial import Polynomial
+
     if samples < 1000:
         raise TubeError("need at least 1000 samples")
+    num, den = Polynomial(_K1_NUM), Polynomial(_K1_DEN)
+
+    def k1(x: np.ndarray) -> np.ndarray:
+        return num(x) / (12.0 * den(x) ** 2)
+
     half = samples // 2
     core = np.linspace(-50.0, 50.0, samples - half)
     tails = np.concatenate(
@@ -322,46 +258,6 @@ def k1_range_check(samples: int = 1_000_000) -> tuple[float, float]:
             np.logspace(math.log10(50.0), 4.0, half - half // 2),
         ]
     )
-    grid = np.sort(np.concatenate([core, tails]))
-    vals = _k1_rational(grid)
-
-    lo = float(vals.min())
-    hi = float(vals.max())
-
-    def refine(a: float, b: float, maximize: bool) -> float:
-        for _ in range(200):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            f1 = float(_k1_rational(np.array([m1]))[0])
-            f2 = float(_k1_rational(np.array([m2]))[0])
-            if (f1 < f2) == maximize:
-                a = m1
-            else:
-                b = m2
-        x = 0.5 * (a + b)
-        return float(_k1_rational(np.array([x]))[0])
-
-    # brackets where the discrete slope changes sign
-    dv = np.diff(vals)
-    sign_flips = np.nonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)[0]
-    for i in sign_flips:
-        a, b = float(grid[i]), float(grid[i + 2])
-        maximize = dv[i] > 0
-        val = refine(a, b, maximize)
-        lo = min(lo, val)
-        hi = max(hi, val)
-
-    # the limit value at x -> +-infinity (q = 0 slope)
-    hi = max(hi, -1.0 / 12.0)
-    lo = min(lo, -1.0 / 12.0)
-    return lo, hi
-
-
-def monotonicity_report(curve: GeometricCurve, slope2: Slope) -> dict:
-    """Signs of the leading behavior: mu_hat decreasing, mu_hat^2 + theta^2 increasing."""
-    k = k_expansion_closed_form(curve, slope2)
-    return {
-        "k1": k.k1,
-        "mu_hat_decreasing": k.k1 < 0,
-        "sum_increasing": k.k1 + 1.0 > 0,
-    }
+    critical = (num.deriv() * den - 2.0 * num * den.deriv()).roots().real
+    vals = np.concatenate([k1(core), k1(tails), k1(critical), [-1.0 / 12.0]])
+    return float(vals.min()), float(vals.max())

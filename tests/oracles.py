@@ -1,0 +1,164 @@
+"""Independent expressions the tests compare the library against.
+
+Each oracle computes a quantity the library also computes, by a different
+route: the second printed form of the cusp eigenvalues, the printed trace
+display of the tube radius, branch continuation along a whole path, and
+the hyperbolic distance between two geodesics from their cross-ratio
+(criterion 10's geometry oracle). None of them is used by the library.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Callable, Sequence
+
+from conetube.gluing import (
+    BranchAnchors,
+    CuspEigenvalues,
+    GluingError,
+    TetShapes,
+    sqrt_arguments,
+)
+from conetube.jets import BranchError, continue_log, continue_sqrt
+from conetube.tube import TubeError
+
+# ---------------------------------------------------------------------------
+# cusp eigenvalues
+
+
+def alternate_eigenvalues(
+    s: TetShapes, anchors: BranchAnchors | None = None
+) -> CuspEigenvalues:
+    """The second printed form of each eigenvalue, for consistency checks.
+
+    The first gluing equation makes (1-z4)/(1-z2) = (1-z3)/(1-z1) and
+    (1-z2)/(1-z1) = (1-z4)/(1-z3); on the variety these agree with
+    ``cusp_eigenvalues`` and off it they differ. Never commits anchors.
+    """
+    if anchors is None:
+        anchors = BranchAnchors()
+    z1, z2, z3, z4 = s.as_tuple()
+    _, arg_l1, _, arg_l2 = sqrt_arguments(s)
+    ratio1 = (1 - z3) / (1 - z1)
+    ratio2 = (1 - z4) / (1 - z3)
+    try:
+        s_m1 = continue_sqrt(ratio1, *anchors.m1)
+        s_l1 = continue_sqrt(arg_l1, *anchors.l1)
+        s_m2 = continue_sqrt(ratio2, *anchors.m2)
+        s_l2 = continue_sqrt(arg_l2, *anchors.l2)
+    except BranchError as exc:
+        raise GluingError(f"eigenvalue branch lost: {exc}") from exc
+    return CuspEigenvalues(
+        m1=-s_m1,
+        l1=-ratio1 * s_l1,
+        m2=-s_m2,
+        l2=-ratio2 * s_l2,
+    )
+
+
+# ---------------------------------------------------------------------------
+# tube radius
+
+
+def tube_cosh2R_trace_form(tr_comm_minus2: complex, tr_peripheral: complex) -> float:
+    """The same radius from the printed trace display.
+
+    (|tr[w,g] - 2| + |tr^2 g - tr[w,g] - 2|) / |tr^2 g - 4|; algebraically
+    identical to ``tube_cosh2R`` since tr^2 g - tr[w,g] - 2 =
+    (tr^2 g - 4)(1 + bc). Kept as an independent expression for the
+    agreement check; the bc form is the one used downstream.
+    """
+    tsq = tr_peripheral * tr_peripheral
+    denom = tsq - 4.0
+    if abs(denom) < 1e-14:
+        raise TubeError("parabolic peripheral element: tube radius undefined")
+    t = complex(tr_comm_minus2)
+    return (abs(t) + abs(tsq - (t + 2.0) - 2.0)) / abs(denom)
+
+
+# ---------------------------------------------------------------------------
+# branch continuation along a path
+
+_MAX_DEPTH = 60
+
+
+def _walk(path: Sequence[complex], start: complex, step: Callable) -> complex:
+    value = complex(start)
+    prev = complex(path[0])
+    for target in path[1:]:
+        target = complex(target)
+        # subdivide straight segments until each hop is unambiguous
+        stack = [target]
+        depth = 0
+        while stack:
+            nxt = stack[-1]
+            try:
+                value = step(nxt, prev, value)
+            except BranchError:
+                depth += 1
+                if depth > _MAX_DEPTH:
+                    raise BranchError("path passes too close to a branch point")
+                stack.append((prev + nxt) / 2.0)
+                continue
+            prev = nxt
+            stack.pop()
+    return value
+
+
+def sqrt_along_path(path: Sequence[complex], start_value: complex) -> complex:
+    """Continue sqrt along a path of arguments, starting from a known value."""
+    if abs(start_value**2 - path[0]) > 1e-8 * max(1.0, abs(path[0])):
+        raise BranchError("start value is not a square root of the first path point")
+    return _walk(path, start_value, continue_sqrt)
+
+
+def log_along_path(path: Sequence[complex], start_value: complex) -> complex:
+    """Continue log along a path of arguments, starting from a known value."""
+    if abs(cmath.exp(start_value) - path[0]) > 1e-8 * abs(path[0]):
+        raise BranchError("start value is not a logarithm of the first path point")
+    return _walk(path, start_value, continue_log)
+
+
+# ---------------------------------------------------------------------------
+# geodesics of H^3 by their ideal endpoints
+
+INFINITY = complex(math.inf, 0.0)
+
+
+def _homogeneous(w: complex) -> tuple[complex, complex]:
+    if isinstance(w, (int, float)) and math.isinf(w):
+        return (1.0 + 0j, 0j)
+    w = complex(w)
+    if math.isinf(w.real) or math.isinf(w.imag):
+        return (1.0 + 0j, 0j)
+    return (w, 1.0 + 0j)
+
+
+def cross_ratio(w1, w2, w3, w4) -> complex:
+    """(w1-w3)(w2-w4) / ((w1-w4)(w2-w3)) on the extended plane.
+
+    Points at infinity are handled projectively; the lines are (w1, w2)
+    and (w3, w4), and endpoints must be distinct within each pair.
+    """
+    h = [_homogeneous(w) for w in (w1, w2, w3, w4)]
+
+    def det(a, b) -> complex:
+        return a[0] * b[1] - a[1] * b[0]
+
+    if det(h[0], h[1]) == 0 or det(h[2], h[3]) == 0:
+        raise TubeError("degenerate line: repeated endpoint within a pair")
+    num = det(h[0], h[2]) * det(h[1], h[3])
+    den = det(h[0], h[3]) * det(h[1], h[2])
+    if den == 0:
+        raise TubeError("coincident endpoints across pairs")
+    return num / den
+
+
+def line_distance(w1, w2, w3, w4) -> float:
+    """Hyperbolic distance between the geodesics (w1, w2) and (w3, w4)."""
+    cr = cross_ratio(w1, w2, w3, w4)
+    if cr == 1.0:
+        raise TubeError("cross-ratio 1: degenerate line configuration")
+    cosh_d = (1.0 + abs(cr)) / abs(1.0 - cr)
+    return math.acosh(max(1.0, cosh_d))

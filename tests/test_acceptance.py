@@ -35,7 +35,6 @@ from conetube import (
     jet_log,
     k1_range_check,
     k_expansion_closed_form,
-    line_distance,
     measure_tube,
     solve_cone_structure,
     variable,
@@ -44,6 +43,7 @@ from conetube import (
 )
 from conetube.cli import main as cli_main
 from tests.conftest import A1, A2, A3
+from tests.oracles import line_distance
 from tests.test_tube import _axis_distance_R, _mobius
 
 EXPECTED = (A1, A2, A3)

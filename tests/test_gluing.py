@@ -8,14 +8,14 @@ from conetube import (
     BranchAnchors,
     GluingError,
     TetShapes,
-    alternate_eigenvalues,
     cusp_eigenvalues,
     residuals,
     solve_shapes,
 )
 from conetube import gluing
 from conetube.gluing import CHART_RADIUS, sqrt_arguments
-from conetube.jets import BranchError, continue_sqrt, sqrt_along_path
+from conetube.jets import BranchError, continue_sqrt
+from tests.oracles import alternate_eigenvalues, sqrt_along_path
 
 BASE = 0.5 + 0.5j
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,12 +20,11 @@ from conetube import (
     jet_exp,
     jet_log,
     jet_sqrt,
-    log_along_path,
     real_modulus_jet,
     reversion,
-    sqrt_along_path,
     variable,
 )
+from tests.oracles import log_along_path, sqrt_along_path
 
 finite_complex = st.builds(
     complex,
@@ -422,6 +422,21 @@ def test_batch_with_unbatched_and_per_row_constants():
     _assert_rows(Jet(a) + scale, [Jet(r) + s for r, s in zip(a, scale)])
     _assert_rows(constant(scale, 2), [constant(s, 2) for s in scale])
     _assert_rows(Jet(a)[1], [Jet(r)[1] for r in a])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_ndarray_on_the_left_gives_a_batched_jet(op):
+    jet = Jet(np.array([[1.0, 2.0, 3.0], [0.5j, -1.0, 0.25]]))
+    reflected = getattr(Jet, f"__r{op.__name__}__")
+    left = np.array([2.0, -1j])
+    out = op(left, jet)
+    assert isinstance(out, Jet)
+    assert np.array_equal(out.coeffs, reflected(jet, left).coeffs)
+    _assert_rows(out, [op(complex(x), Jet(r)) for x, r in zip(left, jet.coeffs)])
+    # a numpy scalar on the left still acts as one constant for every row
+    scalar = op(np.float64(2.0), jet)
+    assert isinstance(scalar, Jet)
+    assert np.array_equal(scalar.coeffs, reflected(jet, 2.0).coeffs)
 
 
 TAILS = [[1.0, 0.25], [-0.5j, 2.0], [0.5, 1.0]]

@@ -7,6 +7,7 @@ import pytest
 
 from conetube import (
     GeometricCurve,
+    GluingError,
     Slope,
     SurgeryError,
     cone_expansion,
@@ -21,6 +22,7 @@ from conetube import (
 from conetube.holonomy import RepresentationFamily, cusp_relation_residuals, y_from_l2
 from conetube.surgery import (
     _ChartWalker,
+    _filled_base_walker,
     _coordinates,
     _first_cusp_residual,
     _jacobian,
@@ -316,3 +318,23 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     ev = structure.point.eigenvalues
     assert ev.m2 == complex(-0.9689124217106448, -0.24740395925452285)
     assert ev.l2 == complex(-0.5376870547896765, -0.2937397767883748)
+
+
+REFUSED = {
+    # one Newton step inside the chart, then a second whose branch step is too long
+    "branch": (lambda first: (first, _second_cusp_residual(Slope.make(2, 1), 1.45)), GluingError),
+    # two equal rows: the Jacobian is singular
+    "singular": (lambda first: (_pinned_meridian(0.1), _pinned_meridian(0.1)), SurgeryError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_newton_leaves_the_walker_unchanged(case):
+    make, error = REFUSED[case]
+    walker = _filled_base_walker(Slope.make(9, 1))
+    before = walker.clone()
+    with pytest.raises(error):
+        walker.newton(make(_first_cusp_residual(Slope.make(9, 1), 1.0)))
+    assert (walker.u, walker.v) == (before.u, before.v)
+    assert walker.anchors == before.anchors
+    assert walker.logs == before.logs

@@ -8,23 +8,16 @@ import pytest
 from scipy.optimize import minimize
 
 from conetube import (
-    INFINITY,
     Slope,
     TubeError,
-    commutator_trace_minus2_from_eigenvalues,
-    core_length,
-    cross_ratio,
     fit_k_expansion,
     k1_range_check,
     k_expansion_closed_form,
     k_expansions,
-    line_distance,
     measure_tube,
-    monotonicity_report,
     mu_hat_squared_numeric,
     solve_cone_structure,
     tube_cosh2R,
-    tube_cosh2R_trace_form,
     whitehead_k_reference,
 )
 from conetube.jets import JetError
@@ -33,6 +26,12 @@ from conetube.holonomy import (
     peripheral_matrices,
     sl2_inverse,
     y_from_l2,
+)
+from tests.oracles import (
+    INFINITY,
+    cross_ratio,
+    line_distance,
+    tube_cosh2R_trace_form,
 )
 
 
@@ -182,7 +181,7 @@ def test_radius_matches_axis_distance_oracle():
         assert abs(tm.R - r_oracle) < 1e-8
         # the frame product b*c agrees with the trace-ratio formula
         ev = st.point.eigenvalues
-        trc = commutator_trace_minus2_from_eigenvalues(ev.m2, ev.l2)
+        trc = -y_from_l2(ev.m2, ev.l2)
         trp = ev.m2 + 1 / ev.m2
         bc_formula = -trc / (trp**2 - 4)
         assert abs(bc_frame - bc_formula) < 1e-10 * max(1.0, abs(bc_formula))
@@ -195,8 +194,7 @@ def test_core_length_matches_word_eigenvalue():
         (Slope.make(9, 1), Slope.make(1, 0), 0.06),
     ]:
         st = solve_cone_structure(slope1, slope2, theta)
-        ev = st.point.eigenvalues
-        t = core_length(ev.m2, ev.l2, slope2)
+        t = measure_tube(st).t
         rep = _rep_at_structure(st)
         per = peripheral_matrices(rep)
 
@@ -211,8 +209,7 @@ def test_core_length_matches_word_eigenvalue():
 def test_core_length_for_meridian_filling():
     # theta and core length scale together for the (1, 0) filling
     st = solve_cone_structure(None, Slope.make(1, 0), 0.05)
-    ev = st.point.eigenvalues
-    t = core_length(ev.m2, ev.l2, Slope.make(1, 0))
+    t = measure_tube(st).t
     assert abs(t / 0.05 - 2.0) < 1e-2
 
 
@@ -267,6 +264,14 @@ def test_k1_range_small_grid():
         k1_range_check(samples=10)
 
 
+def test_k1_range_closed_form_extrema():
+    # the derivative's numerator has roots -4, -2, 0, where k1 is -1/6,
+    # -1/12, -1/6; the smallest grid already returns them exactly
+    lo, hi = k1_range_check(samples=1000)
+    assert abs(lo + 1 / 6) < 1e-15
+    assert abs(hi + 1 / 12) < 1e-15
+
+
 def test_fit_recovers_expansion():
     slope2 = Slope.make(1, 0)
     k0_fit, k1_fit = fit_k_expansion(None, slope2, thetas=(0.03, 0.06, 0.09))
@@ -275,14 +280,6 @@ def test_fit_recovers_expansion():
     assert abs(k1_fit - ref.k1) < 1e-4
     with pytest.raises(TubeError):
         fit_k_expansion(None, slope2, thetas=(0.04, 0.08))
-
-
-def test_monotonicity_report(poly_curve):
-    curve = poly_curve.symmetrized()
-    rep = monotonicity_report(curve, Slope.make(1, 1))
-    assert rep["mu_hat_decreasing"] is True
-    assert rep["sum_increasing"] is True
-    assert rep["k1"] < 0
 
 
 def _coprime_slopes(max_norm: int) -> list[Slope]:
