@@ -241,7 +241,7 @@ def cmd_kcoeffs(args, parser: _Parser) -> int:
     slope2 = _slope_or_exit(parser, args.p2, args.q2, "(p2, q2)")
     curve, method, slope1 = _curve_for(args, parser)
     jet = k_expansion_closed_form(curve.symmetrized(), slope2)
-    tol = args.tol if args.tol is not None else 1e-8
+    tol = args.tol if args.tol is not None else TOLERANCES.k_reference
     if slope1 is None:
         ref = whitehead_k_reference(slope2)
         agreement = abs(jet.k0 - ref.k0) < tol * max(1.0, abs(ref.k0)) and abs(
@@ -457,7 +457,7 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
             comm = abs(commutator_trace_minus2(rep) + rep.y)
         worst_comm = max(worst_comm, float(comm.max()))
     record("group_relations", TOLERANCES.group_relation, worst_group)
-    record("commutator_trace", 1e-10, worst_comm)
+    record("commutator_trace", TOLERANCES.commutator_trace, worst_comm)
 
     # cusp trace relations on variety samples; both identities are singular
     # at the base point itself, so evaluate strictly off base
@@ -502,17 +502,30 @@ def cmd_verify(args, parser: _Parser) -> int:
     return 0 if ok else 2
 
 
+def _tolerance(text: str) -> float:
+    """A --tol or $CONETUBE_TOL value: finite and positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
 def _add_common(sub: _Parser) -> None:
     sub.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
+
+
+def _add_tol(sub: _Parser, *fields: str) -> None:
+    """--tol for a command whose verdict reads exactly these TOLERANCES fields."""
     sub.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help=f"override this command's pass/fail thresholds "
-        f"(fallback: ${ENV_TOL}, then per-check defaults)",
+        "--tol", type=_tolerance, default=None,
+        help=f"finite positive threshold (fallback: ${ENV_TOL}) that overrides "
+        f"these TOLERANCES fields: {', '.join(fields)}",
     )
 
 
@@ -521,6 +534,9 @@ def _add_slope1(sub: _Parser) -> None:
                      help="first cusp complete (the default); excludes --p1/--q1")
     sub.add_argument("--p1", type=int, default=None, help="first-cusp slope numerator")
     sub.add_argument("--q1", type=int, default=None, help="first-cusp slope denominator")
+
+
+def _add_polynomial(sub: _Parser) -> None:
     sub.add_argument(
         "--polynomial", default=None,
         help="JSON file with the unfilled eigenvalue polynomial "
@@ -528,29 +544,38 @@ def _add_slope1(sub: _Parser) -> None:
     )
 
 
+def _add_slope2(sub: _Parser) -> None:
+    sub.add_argument("--p2", type=int, required=True, help="second-cusp slope numerator")
+    sub.add_argument("--q2", type=int, required=True, help="second-cusp slope denominator")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="conetube", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("base", parents=[], help="complete-structure report")
+    sub = subs.add_parser("base", help="complete-structure report")
     _add_common(sub)
+    _add_tol(sub, "algebraic")
     sub.set_defaults(func=cmd_base)
 
     sub = subs.add_parser("acoeffs", help="curve coefficients a1, a2, a3")
     _add_common(sub)
     _add_slope1(sub)
+    _add_polynomial(sub)
     sub.set_defaults(func=cmd_acoeffs)
 
     sub = subs.add_parser("kcoeffs", help="mu_hat^2 expansion coefficients k0, k1")
     _add_common(sub)
+    _add_tol(sub, "k_reference")
     _add_slope1(sub)
-    sub.add_argument("--p2", type=int, required=True, help="second-cusp slope numerator")
-    sub.add_argument("--q2", type=int, required=True, help="second-cusp slope denominator")
+    _add_polynomial(sub)
+    _add_slope2(sub)
     sub.set_defaults(func=cmd_kcoeffs)
 
     sub = subs.add_parser("k1scan", help="k1 over all coprime slopes up to a norm")
     _add_common(sub)
     _add_slope1(sub)
+    _add_polynomial(sub)
     sub.add_argument("--max", type=int, default=10, help="norm bound |p2| + |q2|")
     sub.set_defaults(func=cmd_k1scan)
 
@@ -560,22 +585,19 @@ def build_parser() -> _Parser:
         "--n", type=int, nargs="+", default=[8, 16, 32, 64],
         help="first-cusp slopes (n, 1)",
     )
-    sub.add_argument("--polynomial", default=None, help="unfilled polynomial JSON file")
+    _add_polynomial(sub)
     sub.set_defaults(func=cmd_converge)
 
     sub = subs.add_parser("tube", help="tube measurement at an explicit cone angle")
     _add_common(sub)
-    sub.add_argument("--p1", type=int, default=None)
-    sub.add_argument("--q1", type=int, default=None)
-    sub.add_argument("--unfilled", action="store_true",
-                     help="first cusp complete (the default); excludes --p1/--q1")
-    sub.add_argument("--p2", type=int, required=True)
-    sub.add_argument("--q2", type=int, required=True)
+    _add_slope1(sub)
+    _add_slope2(sub)
     sub.add_argument("--theta", type=float, required=True, help="cone angle, radians")
     sub.set_defaults(func=cmd_tube)
 
     sub = subs.add_parser("verify", help="structural invariant suite")
     _add_common(sub)
+    _add_tol(sub, "algebraic", "group_relation", "commutator_trace", "trace_relation")
     sub.add_argument("--points", type=int, default=100, help="sample points per check")
     sub.add_argument("--seed", type=int, default=_VERIFY_SEED, help="RNG seed")
     sub.set_defaults(func=cmd_verify)
@@ -585,14 +607,13 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        env = os.environ.get(ENV_TOL)
-        if env is not None:
-            try:
-                args.tol = float(env)
-            except ValueError:
-                print(f"conetube: bad {ENV_TOL} value {env!r}", file=sys.stderr)
-                return 3
+    env = os.environ.get(ENV_TOL)
+    if hasattr(args, "tol") and args.tol is None and env is not None:
+        try:
+            args.tol = _tolerance(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"conetube: bad {ENV_TOL}: {exc}", file=sys.stderr)
+            return 3
     if getattr(args, "theta", None) is not None and not math.isfinite(args.theta):
         parser.error("--theta must be finite")
     try:

@@ -98,9 +98,9 @@ class BivariatePolynomial:
     def coefficient_scale(self) -> float:
         return max(abs(c) for _, _, c in self.terms)
 
-    def check_root(self, l0: complex, m0: complex, tol: float = 1e-10) -> None:
+    def check_root(self, l0: complex, m0: complex) -> None:
         value = self.evaluate(l0, m0)
-        if abs(value) > tol * max(1.0, self.coefficient_scale()):
+        if abs(value) > TOLERANCES.base_point * max(1.0, self.coefficient_scale()):
             raise CurveError(f"declared root ({l0!r}, {m0!r}) gives value {value!r}")
 
     def to_json_dict(self) -> dict:
@@ -188,12 +188,12 @@ def expand_from_polynomial(
     e0 = _branch_coefficients(poly, m0, l0, 0.0, 0.0, 0.0)[1]
     e1 = _branch_coefficients(poly, m0, l0, 1.0, 0.0, 0.0)[1]
     dl_coeff = e1 - e0
-    crossing = abs(dl_coeff) < 1e-8 * scale
+    crossing = abs(dl_coeff) < TOLERANCES.crossing * scale
 
     if not crossing:
         c1 = -e0 / dl_coeff
     else:
-        if abs(e0) > 1e-8 * scale:
+        if abs(e0) > TOLERANCES.crossing * scale:
             raise CurveError("no smooth branch: dA/dm does not vanish with dA/dl")
         # both partials vanish: order-2 residual is quadratic in the slope
         f0 = _branch_coefficients(poly, m0, l0, 0.0, 0.0, 0.0)[2]
@@ -201,7 +201,7 @@ def expand_from_polynomial(
         fm = _branch_coefficients(poly, m0, l0, -1.0, 0.0, 0.0)[2]
         qa = (fp + fm) / 2.0 - f0
         qb = (fp - fm) / 2.0
-        if abs(qa) < 1e-10 * scale:
+        if abs(qa) < TOLERANCES.degenerate_order * scale:
             raise CurveError("branch slope defect: quadratic slope equation degenerate")
         disc = (qb * qb - 4.0 * qa * f0) ** 0.5
         roots = [(-qb + disc) / (2.0 * qa), (-qb - disc) / (2.0 * qa)]
@@ -212,7 +212,7 @@ def expand_from_polynomial(
         ]
         if not matches:
             raise CurveError(f"no branch slope near hint {a1_hint!r}: roots {roots!r}")
-        if len(matches) == 2 and abs(roots[0] - roots[1]) > 1e-8 * max(
+        if len(matches) == 2 and abs(roots[0] - roots[1]) > TOLERANCES.double_root * max(
             1.0, abs(roots[0])
         ):
             raise CurveError(f"hint {a1_hint!r} is ambiguous between {roots!r}")
@@ -225,14 +225,14 @@ def expand_from_polynomial(
     k2 = 3 if crossing else 2
     g0 = _branch_coefficients(poly, m0, l0, c1, 0.0, 0.0)[k2]
     g1 = _branch_coefficients(poly, m0, l0, c1, 1.0, 0.0)[k2]
-    if abs(g1 - g0) < 1e-10 * scale:
+    if abs(g1 - g0) < TOLERANCES.degenerate_order * scale:
         raise CurveError("branch continuation degenerate at order 2")
     c2 = -g0 / (g1 - g0)
 
     k3 = k2 + 1
     h0 = _branch_coefficients(poly, m0, l0, c1, c2, 0.0)[k3]
     h1 = _branch_coefficients(poly, m0, l0, c1, c2, 1.0)[k3]
-    if abs(h1 - h0) < 1e-10 * scale:
+    if abs(h1 - h0) < TOLERANCES.degenerate_order * scale:
         raise CurveError("branch continuation degenerate at order 3")
     c3 = -h0 / (h1 - h0)
 
@@ -293,7 +293,8 @@ def expand_from_samples(
     parametrization is arbitrary (any smooth s with dm/ds != 0).
     """
     base_m, base_l = sampler(0.0)
-    if abs(base_m - m0) > 1e-10 or abs(base_l - l0) > 1e-10:
+    tol = TOLERANCES.base_point
+    if abs(base_m - m0) > tol or abs(base_l - l0) > tol:
         raise CurveError(f"sampler(0) = {(base_m, base_l)!r} is not the base point")
     cache: dict[complex, tuple[complex, complex]] = {}
 
@@ -304,7 +305,7 @@ def expand_from_samples(
 
     m_jet = _richardson_jets(lambda s: cached(s)[0], m0, radii, "s")
     l_jet = _richardson_jets(lambda s: cached(s)[1], l0, radii, "s")
-    if abs(m_jet[1]) < 1e-6:
+    if abs(m_jet[1]) < TOLERANCES.stationary_parameter:
         raise CurveError("degenerate linear term: dm/ds vanishes at 0")
     s_of_dm = reversion(m_jet - m0).rename("dm")
     _, b1, b2, b3 = compose(l_jet - l0, s_of_dm).coeffs.tolist()

@@ -47,12 +47,11 @@ import dataclasses
 
 import numpy as np
 
-from .config import ensure_finite
+from .config import TOLERANCES, ensure_finite
 from .jets import _MAX_REL_STEP, BranchError, _refuse, continue_sqrt
 
 BASE_SHAPE = complex(0.5, 0.5)
 CHART_RADIUS = 0.35
-_DEGENERATE_TOL = 1e-8
 # sqrt of the quadratic's discriminant at the base: its root is w = (1-i)/2
 _BASE_DISC = -0.5j
 _BASE_DISC_SQRT = complex(-0.5, 0.5)
@@ -77,18 +76,19 @@ class TetShapes:
         return (self.z1, self.z2, self.z3, self.z4)
 
     def check_nondegenerate(self) -> "TetShapes":
+        tol = TOLERANCES.degenerate_shape
         if isinstance(self.z1, np.ndarray):
             for z in self.as_tuple():
                 _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
                 _refuse(
-                    (abs(z) < _DEGENERATE_TOL) | (abs(z - 1.0) < _DEGENERATE_TOL),
+                    (abs(z) < tol) | (abs(z - 1.0) < tol),
                     GluingError,
                     lambda i: f"degenerate tetrahedron shape {complex(z[i])!r}",
                 )
             return self
         for z in self.as_tuple():
             ensure_finite(z)
-            if abs(z) < _DEGENERATE_TOL or abs(z - 1.0) < _DEGENERATE_TOL:
+            if abs(z) < tol or abs(z - 1.0) < tol:
                 raise GluingError(f"degenerate tetrahedron shape {z!r}")
         return self
 

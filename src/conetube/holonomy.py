@@ -37,6 +37,7 @@ import dataclasses
 
 import numpy as np
 
+from .config import TOLERANCES
 from .jets import BranchError, _refuse, continue_sqrt
 
 BASE_X = complex(-1.0, 0.0)
@@ -81,7 +82,7 @@ def _det(m: np.ndarray) -> np.ndarray:
 def sl2_inverse(m: np.ndarray) -> np.ndarray:
     det = _det(m)
     _refuse(
-        abs(det - 1.0) > 1e-8,
+        abs(det - 1.0) > TOLERANCES.unit_determinant,
         HolonomyError,
         lambda i: f"matrix determinant {complex(det[i])!r} is not 1",
     )
@@ -116,7 +117,7 @@ def build_representation(x, y, z_value) -> Representation:
     _refuse(x == 0, HolonomyError, lambda i: "x = 0 is outside the family")
     w, z2 = z_radicand(x, y)
     _refuse(
-        abs(z * z - z2) > 1e-8 * np.maximum(1.0, abs(z2)),
+        abs(z * z - z2) > TOLERANCES.branch_match * np.maximum(1.0, abs(z2)),
         HolonomyError,
         lambda i: f"z value {complex(z[i])!r} does not square to the radicand {complex(z2[i])!r}",
     )
@@ -127,7 +128,7 @@ def build_representation(x, y, z_value) -> Representation:
     gamma = _mat(g11, z, z * y, z * (1.0 - x2) / x)
     det = _det(gamma)
     _refuse(
-        abs(det - 1.0) > 1e-8,
+        abs(det - 1.0) > TOLERANCES.unit_determinant,
         HolonomyError,
         lambda i: f"gamma determinant {complex(det[i])!r} is not 1",
     )

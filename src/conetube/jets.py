@@ -48,6 +48,8 @@ from typing import Callable
 
 import numpy as np
 
+from .config import TOLERANCES
+
 MAX_ORDER = 4
 
 
@@ -262,7 +264,7 @@ class Jet:
                 base = base * base
         return constant(1.0, self.order, self.var) if acc is None else acc
 
-    def shift_down(self, k: int, rel_tol: float = 1e-9) -> "Jet":
+    def shift_down(self, k: int) -> "Jet":
         """Divide by var**k; the first k coefficients must already vanish."""
         if k == 0:
             return self
@@ -270,7 +272,7 @@ class Jet:
             raise JetError("shift_down exceeds jet order")
         c = self.coeffs
         # relative to the largest coefficient; an all-zero row passes
-        loud = np.abs(c[..., :k]) > rel_tol * np.abs(c).max(axis=-1, keepdims=True)
+        loud = np.abs(c[..., :k]) > TOLERANCES.vanishing * np.abs(c).max(axis=-1, keepdims=True)
 
         def reason(i: tuple) -> str:
             lead = c[i][:k][loud[i]][0]
@@ -338,7 +340,7 @@ def jet_log(f: Jet, log_of_c0) -> Jet:
     _refuse(c0 == 0, JetError, lambda i: "log of a jet with zero constant term")
     miss = np.abs(np.exp(log_of_c0) - c0)
     _refuse(
-        miss > 1e-8 * np.abs(c0),
+        miss > TOLERANCES.branch_match * np.abs(c0),
         BranchError,
         lambda i: f"exp({complex(np.broadcast_to(log_of_c0, miss.shape)[i])!r}) does not "
         f"match constant term {complex(np.broadcast_to(c0, miss.shape)[i])!r}",
@@ -360,7 +362,7 @@ def jet_sqrt(f: Jet, branch_of_c0) -> Jet:
     _refuse(s0 == 0, BranchError, lambda i: "branch value 0 is a branch point, not a branch")
     miss = np.abs(s0 * s0 - c0)
     _refuse(
-        miss > 1e-8 * np.maximum(1.0, np.abs(c0)),
+        miss > TOLERANCES.branch_match * np.maximum(1.0, np.abs(c0)),
         BranchError,
         lambda i: f"square of branch {complex(np.broadcast_to(s0, miss.shape)[i])!r} does "
         f"not match constant term {complex(np.broadcast_to(c0, miss.shape)[i])!r}",
@@ -432,7 +434,7 @@ def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
     )
     gg = g * g.conjugate_coefficients()
     _refuse(
-        gg.imag_max() > 1e-9 * np.maximum(1.0, np.abs(gg.coeffs[..., 0])),
+        gg.imag_max() > TOLERANCES.vanishing * np.maximum(1.0, np.abs(gg.coeffs[..., 0])),
         JetError,
         lambda i: "modulus square has stray imaginary part",
     )

@@ -139,7 +139,7 @@ class CurveJets:
     def of(cls, curve: GeometricCurve) -> "CurveJets":
         if (curve.m0, curve.l0) != (-1, -1):
             raise SurgeryError("cone expansion implemented only at base (-1, -1)")
-        if abs(curve.involution_defect()) > 1e-9:
+        if abs(curve.involution_defect()) > TOLERANCES.involution:
             raise SurgeryError(
                 f"curve violates involution constraint by {curve.involution_defect()!r}"
             )
@@ -346,7 +346,7 @@ class _ChartWalker:
                 polish = True
             (j11, j12), (j21, j22) = _jacobian(residual, pt)
             det = j11 * j22 - j12 * j21
-            if abs(det) < 1e-14:
+            if abs(det) < TOLERANCES.singular:
                 raise SurgeryError("filling Jacobian is singular")
             u -= (f1 * j22 - f2 * j12) / det
             v -= (j11 * f2 - j21 * f1) / det
@@ -426,8 +426,8 @@ def solve_cone_structure(
             pt = walker.newton(residual_at(0.0))
     structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)
     r1, r2 = structure.filling_residuals()
-    if max(abs(r1), abs(r2)) > 1e-12:
-        raise SurgeryError(f"filling residuals {(r1, r2)!r} above 1e-12")
+    if max(abs(r1), abs(r2)) > TOLERANCES.filling_residual:
+        raise SurgeryError(f"filling residuals {(r1, r2)!r} above {TOLERANCES.filling_residual}")
     return structure
 
 
@@ -480,9 +480,9 @@ def convergence_table(
     """a-coefficients of filled curves against the unfilled reference."""
     rows: list[ConvergenceRow] = []
 
-    def build(label: str, sampler: Callable) -> ConvergenceRow:
+    def build(label: str, make_sampler: Callable[[], Callable]) -> ConvergenceRow:
         try:
-            curve = expand_from_samples(sampler, -1, -1)
+            curve = expand_from_samples(make_sampler(), -1, -1)
         except (CurveError, SurgeryError, GluingError) as exc:
             return ConvergenceRow(label, None, None, None, failure=str(exc))
         errs = (
@@ -495,7 +495,7 @@ def convergence_table(
         )
 
     for slope in slopes:
-        rows.append(build(f"{slope.p},{slope.q}", filled_curve_sampler(slope)))
+        rows.append(build(f"{slope.p},{slope.q}", lambda: filled_curve_sampler(slope)))
     if include_unfilled:
-        rows.append(build("unfilled", unfilled_curve_sampler()))
+        rows.append(build("unfilled", unfilled_curve_sampler))
     return rows

@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import TOLERANCES
 from .curves import GeometricCurve
 from .holonomy import y_from_l2
 from .jets import Jet, JetError, jet_sqrt, real_modulus_jet
@@ -48,7 +49,7 @@ class TubeError(ValueError):
 def tube_cosh2R(tr_comm_minus2: complex, tr_peripheral: complex) -> float:
     """cosh(2R) = |bc| + |bc + 1| from the frame-invariant bc."""
     denom = tr_peripheral * tr_peripheral - 4.0
-    if abs(denom) < 1e-14:
+    if abs(denom) < TOLERANCES.singular:
         raise TubeError("parabolic peripheral element: tube radius undefined")
     bc = -complex(tr_comm_minus2) / denom
     return abs(bc) + abs(bc + 1.0)
@@ -64,12 +65,13 @@ class TubeMeasurement:
     mu_hat_sq: float
 
     def check(self) -> None:
+        tol = TOLERANCES.tube_identity
         if not (self.R > 0 and self.t > 0 and self.mu > 0 and self.mu_hat_sq > 0):
             raise TubeError(f"non-positive tube measurement {self!r}")
-        if abs(self.mu - self.theta * math.sinh(self.R)) > 1e-12 * max(1.0, self.mu):
+        if abs(self.mu - self.theta * math.sinh(self.R)) > tol * max(1.0, self.mu):
             raise TubeError("mu = theta sinh R violated")
         area = self.theta * self.t * math.sinh(self.R) * math.cosh(self.R)
-        if abs(self.mu_hat_sq - self.mu**2 / area) > 1e-12 * self.mu_hat_sq:
+        if abs(self.mu_hat_sq - self.mu**2 / area) > tol * self.mu_hat_sq:
             raise TubeError("area identity violated")
 
 
@@ -169,7 +171,7 @@ def k_expansions(curve: GeometricCurve, slopes: Sequence[Slope]) -> list[KExpans
             raise type(exc)(f"slope ({bad.p}, {bad.q}): {exc.reason}") from exc
         c = mu_hat_sq.coeffs
         stray = np.maximum(np.abs(c[:, 1]), mu_hat_sq.imag_max())
-        loud = stray > 1e-9 * np.maximum(1.0, np.abs(c[:, 0]))
+        loud = stray > TOLERANCES.vanishing * np.maximum(1.0, np.abs(c[:, 0]))
         if loud.any():
             i = int(np.argmax(loud))
             raise TubeError(

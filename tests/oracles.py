@@ -3,8 +3,10 @@
 Each oracle computes a quantity the library also computes, by a different
 route: the second printed form of the cusp eigenvalues, the printed trace
 display of the tube radius, branch continuation along a whole path, and
-the hyperbolic distance between two geodesics from their cross-ratio
-(criterion 10's geometry oracle). None of them is used by the library.
+the hyperbolic distance between two geodesics from their cross-ratio with
+the tube radius as half the distance from the core axis to its tied
+translate (criterion 10's geometry oracle). None of them is used by the
+library.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import cmath
 import math
 from typing import Callable, Sequence
 
+import numpy as np
+
 from conetube.gluing import (
     BranchAnchors,
     CuspEigenvalues,
@@ -20,6 +24,7 @@ from conetube.gluing import (
     TetShapes,
     sqrt_arguments,
 )
+from conetube.holonomy import RepresentationFamily, y_from_l2
 from conetube.jets import BranchError, continue_log, continue_sqrt
 from conetube.tube import TubeError
 
@@ -162,3 +167,41 @@ def line_distance(w1, w2, w3, w4) -> float:
         raise TubeError("cross-ratio 1: degenerate line configuration")
     cosh_d = (1.0 + abs(cr)) / abs(1.0 - cr)
     return math.acosh(max(1.0, cosh_d))
+
+
+def _mobius(g: np.ndarray, w: complex) -> complex:
+    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    if w == INFINITY:
+        return INFINITY if abs(c) == 0 else a / c
+    den = c * w + d
+    if abs(den) == 0:
+        return INFINITY
+    return (a * w + b) / den
+
+
+def _rep_at_structure(structure, steps: int = 12):
+    x = structure.point.eigenvalues.m2
+    y = y_from_l2(x, structure.point.eigenvalues.l2)
+    fam = RepresentationFamily()
+    for k in range(1, steps + 1):
+        s = k / steps
+        rep = fam.representation(-1 + s * (x + 1), 2j + s * (y - 2j), commit=True)
+    return rep
+
+
+def _axis_distance_R(structure):
+    """Half the distance between the core axis and its tied translate.
+
+    All peripheral elements at the second cusp share one axis; conjugating
+    it to (0, infinity), the tied element gamma carries that line to a
+    translate, and the tube radius is half the distance between the two.
+    """
+    rep = _rep_at_structure(structure)
+    x = rep.x
+    w_star = x / (1 - x * x)
+    shear = np.array([[1, -w_star], [0, 1]], dtype=complex)
+    w = shear @ rep.gamma @ np.array([[1, w_star], [0, 1]], dtype=complex)
+    a, b, c, d = w[0, 0], w[0, 1], w[1, 0], w[1, 1]
+    e1 = b / d
+    e2 = a / c
+    return 0.5 * line_distance(0, INFINITY, e1, e2), complex(b * c)

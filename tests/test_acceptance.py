@@ -43,8 +43,7 @@ from conetube import (
 )
 from conetube.cli import main as cli_main
 from tests.conftest import A1, A2, A3
-from tests.oracles import line_distance
-from tests.test_tube import _axis_distance_R, _mobius
+from tests.oracles import _axis_distance_R, _mobius, line_distance
 
 EXPECTED = (A1, A2, A3)
 

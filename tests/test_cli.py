@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -152,14 +153,16 @@ def test_env_tol_fallback(capsys, monkeypatch):
 
 def test_verify_reads_the_shared_tolerances(capsys, monkeypatch):
     monkeypatch.delenv("CONETUBE_TOL", raising=False)
-    monkeypatch.setattr(TOLERANCES, "trace_relation", 0.25)
+    monkeypatch.setattr(
+        "conetube.cli.TOLERANCES", dataclasses.replace(TOLERANCES, trace_relation=0.25)
+    )
     code, out, _ = run(capsys, "verify", "--points", "5")
     assert code == 0
     tols = {c["check"]: c["tol"] for c in json.loads(out)["checks"]}
     assert tols == {
         "gluing_residual": TOLERANCES.algebraic,
         "group_relations": TOLERANCES.group_relation,
-        "commutator_trace": 1e-10,
+        "commutator_trace": TOLERANCES.commutator_trace,
         "cusp_trace_relations": 0.25,
     }
 
@@ -168,6 +171,90 @@ def test_explicit_tol_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("CONETUBE_TOL", "1e-30")
     code, _, _ = run(capsys, "verify", "--points", "5", "--tol", "1e-6")
     assert code == 0
+
+
+def _exit_code(capsys, *argv):
+    """(exit code, stdout, stderr) whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_VERDICT_COMMANDS = [
+    ["base"],
+    ["kcoeffs", "--p2", "3", "--q2", "1"],
+    ["verify", "--points", "3"],
+]
+_BAD_TOLS = ["nan", "inf", "-inf", "0", "-1e-3", "abc"]
+
+
+@pytest.mark.parametrize("argv", _VERDICT_COMMANDS)
+@pytest.mark.parametrize("value", _BAD_TOLS)
+def test_bad_tol_flag_exits_3(capsys, monkeypatch, argv, value):
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    code, out, err = _exit_code(capsys, *argv, f"--tol={value}")
+    assert code == 3
+    assert out == ""
+    assert "argument --tol" in err and "not a finite positive number" in err
+
+
+@pytest.mark.parametrize("argv", _VERDICT_COMMANDS)
+@pytest.mark.parametrize("value", _BAD_TOLS)
+def test_bad_env_tol_exits_3(capsys, monkeypatch, argv, value):
+    monkeypatch.setenv("CONETUBE_TOL", value)
+    code, out, err = _exit_code(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "CONETUBE_TOL" in err and "not a finite positive number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["acoeffs"],
+        ["k1scan", "--max", "3"],
+        ["converge", "--n", "8"],
+        ["tube", "--p2", "1", "--q2", "0", "--theta", "0.1"],
+    ],
+)
+def test_tol_only_on_commands_that_give_a_verdict(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    code, _, err = _exit_code(capsys, *argv, "--tol", "1e-3")
+    assert code == 3
+    assert "unrecognized arguments: --tol" in err
+    expected = _exit_code(capsys, *argv)
+    monkeypatch.setenv("CONETUBE_TOL", "nan")
+    assert _exit_code(capsys, *argv) == expected
+    assert expected[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("base", ["algebraic"]),
+        ("kcoeffs", ["k_reference"]),
+        ("verify", ["algebraic", "group_relation", "commutator_trace", "trace_relation"]),
+    ],
+)
+def test_tol_help_names_the_fields_it_overrides(capsys, command, fields):
+    code, out, _ = _exit_code(capsys, command, "--help")
+    assert code == 0
+    assert all(f in out for f in fields)
+    assert set(fields) <= {f.name for f in dataclasses.fields(TOLERANCES)}
+
+
+def test_converge_keeps_the_rows_a_slope_refusal_spares(capsys):
+    code, out, _ = run(capsys, "converge", "--n", "3", "8")
+    assert code == 0
+    rows = {r["slope1"]: r for r in json.loads(out)["rows"]}
+    assert list(rows) == ["3,1", "8,1", "unfilled"]
+    assert rows["3,1"] == {"slope1": "3,1", "failure": "|p1| + |q1| = 4 below floor 8"}
+    assert "failure" not in rows["8,1"]
+    assert rows["8,1"]["err_a1"] < 0.5
+    assert all(k in rows["8,1"] for k in ("a1", "a2", "a3"))
 
 
 def test_output_file(tmp_path, capsys):

@@ -21,14 +21,12 @@ from conetube import (
     whitehead_k_reference,
 )
 from conetube.jets import JetError
-from conetube.holonomy import (
-    RepresentationFamily,
-    peripheral_matrices,
-    sl2_inverse,
-    y_from_l2,
-)
+from conetube.holonomy import peripheral_matrices, sl2_inverse, y_from_l2
 from tests.oracles import (
     INFINITY,
+    _axis_distance_R,
+    _mobius,
+    _rep_at_structure,
     cross_ratio,
     line_distance,
     tube_cosh2R_trace_form,
@@ -63,44 +61,6 @@ def _min_distance_oracle(a1, b1, a2, b2) -> float:
         options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 500},
     )
     return float(best.fun)
-
-
-def _mobius(g: np.ndarray, w: complex) -> complex:
-    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    if w == INFINITY:
-        return INFINITY if abs(c) == 0 else a / c
-    den = c * w + d
-    if abs(den) == 0:
-        return INFINITY
-    return (a * w + b) / den
-
-
-def _rep_at_structure(structure, steps: int = 12):
-    x = structure.point.eigenvalues.m2
-    y = y_from_l2(x, structure.point.eigenvalues.l2)
-    fam = RepresentationFamily()
-    for k in range(1, steps + 1):
-        s = k / steps
-        rep = fam.representation(-1 + s * (x + 1), 2j + s * (y - 2j), commit=True)
-    return rep
-
-
-def _axis_distance_R(structure):
-    """Half the distance between the core axis and its tied translate.
-
-    All peripheral elements at the second cusp share one axis; conjugating
-    it to (0, infinity), the tied element gamma carries that line to a
-    translate, and the tube radius is half the distance between the two.
-    """
-    rep = _rep_at_structure(structure)
-    x = rep.x
-    w_star = x / (1 - x * x)
-    shear = np.array([[1, -w_star], [0, 1]], dtype=complex)
-    w = shear @ rep.gamma @ np.array([[1, w_star], [0, 1]], dtype=complex)
-    a, b, c, d = w[0, 0], w[0, 1], w[1, 0], w[1, 1]
-    e1 = b / d
-    e2 = a / c
-    return 0.5 * line_distance(0, INFINITY, e1, e2), complex(b * c)
 
 
 def test_cross_ratio_examples():
