@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -133,12 +134,17 @@ def _slope_echo(slope: Slope | None) -> dict | None:
     return {"p": slope.p, "q": slope.q, "r": slope.r, "s": slope.s}
 
 
+@functools.cache
+def _builtin_curve():
+    """The built-in polynomial's curve; it reads no argument, so it is expanded once."""
+    return expand_from_polynomial(whitehead_a_polynomial(), -1, -1, _UNFILLED_HINT)
+
+
 def _unfilled_curve(args):
-    if args.polynomial:
-        with open(args.polynomial) as fh:
-            poly = BivariatePolynomial.from_json(fh.read())
-    else:
-        poly = whitehead_a_polynomial()
+    if not args.polynomial:
+        return _builtin_curve()
+    with open(args.polynomial) as fh:
+        poly = BivariatePolynomial.from_json(fh.read())
     return expand_from_polynomial(poly, -1, -1, _UNFILLED_HINT)
 
 
@@ -151,6 +157,10 @@ def _slope1(args, parser: _Parser) -> Slope | None:
     if args.p1 is None or args.q1 is None:
         parser.error("--p1 and --q1 must be given together")
     return _slope_or_exit(parser, args.p1, args.q1, "(p1, q1)")
+
+
+def _first_cusp_filled(args) -> bool:
+    return getattr(args, "p1", None) is not None or getattr(args, "q1", None) is not None
 
 
 def _curve_for(args, parser: _Parser):
@@ -239,10 +249,13 @@ def cmd_acoeffs(args, parser: _Parser) -> int:
 
 def cmd_kcoeffs(args, parser: _Parser) -> int:
     slope2 = _slope_or_exit(parser, args.p2, args.q2, "(p2, q2)")
+    if args.tol is not None and _first_cusp_filled(args):
+        parser.error("--tol gives no verdict next to --p1/--q1: a filled curve has no reference")
     curve, method, slope1 = _curve_for(args, parser)
     jet = k_expansion_closed_form(curve.symmetrized(), slope2)
-    tol = args.tol if args.tol is not None else TOLERANCES.k_reference
+    tol = None
     if slope1 is None:
+        tol = args.tol if args.tol is not None else TOLERANCES.k_reference
         ref = whitehead_k_reference(slope2)
         agreement = abs(jet.k0 - ref.k0) < tol * max(1.0, abs(ref.k0)) and abs(
             jet.k1 - ref.k1
@@ -483,6 +496,8 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
 def cmd_verify(args, parser: _Parser) -> int:
     if args.points < 1:
         parser.error("--points must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     checks = _verify_checks(args.points, args.seed, args.tol)
     ok = all(c["pass"] for c in checks)
     payload = {
@@ -549,7 +564,12 @@ def _add_slope2(sub: _Parser) -> None:
     sub.add_argument("--q2", type=int, required=True, help="second-cusp slope denominator")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    Parsing reads the parser and leaves it as it was, so ``main`` reuses it.
+    """
     parser = _Parser(prog="conetube", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -608,7 +628,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     env = os.environ.get(ENV_TOL)
-    if hasattr(args, "tol") and args.tol is None and env is not None:
+    # a filled first cusp leaves kcoeffs without a verdict, so without a threshold
+    verdict = hasattr(args, "tol") and not _first_cusp_filled(args)
+    if verdict and args.tol is None and env is not None:
         try:
             args.tol = _tolerance(env)
         except argparse.ArgumentTypeError as exc:

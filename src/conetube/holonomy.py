@@ -89,7 +89,7 @@ def sl2_inverse(m: np.ndarray) -> np.ndarray:
     return _mat(m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0])
 
 
-def z_radicand(x, y) -> tuple:
+def _z_radicand(x, y) -> tuple:
     """Return (w, z^2) at the parameters (x, y)."""
     x2 = x * x
     w = (x2 * y - x2 + 1.0) * (x2 * y + (x2 - 1.0) ** 2)
@@ -109,13 +109,13 @@ class Representation:
     gamma: np.ndarray
 
 
-def build_representation(x, y, z_value) -> Representation:
+def _build_representation(x, y, z_value) -> Representation:
     """Assemble matrices at (x, y) with an explicitly chosen branch of z."""
     x, y, z = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for e in (x, y, z_value)))
     for e in (x, y, z):
         _refuse(~np.isfinite(e), ValueError, lambda i: f"non-finite value {complex(e[i])!r}")
     _refuse(x == 0, HolonomyError, lambda i: "x = 0 is outside the family")
-    w, z2 = z_radicand(x, y)
+    w, z2 = _z_radicand(x, y)
     _refuse(
         abs(z * z - z2) > TOLERANCES.branch_match * np.maximum(1.0, abs(z2)),
         HolonomyError,
@@ -146,7 +146,7 @@ class RepresentationFamily:
         self.z_anchor: tuple = (BASE_Z_SQUARED, BASE_Z)
 
     def representation(self, x, y, commit: bool = False) -> Representation:
-        _, z2 = z_radicand(x, y)
+        _, z2 = _z_radicand(x, y)
         try:
             z = continue_sqrt(np.asarray(z2), *self.z_anchor)
         except BranchError as exc:
@@ -155,11 +155,11 @@ class RepresentationFamily:
             raise lost from exc
         if commit:
             self.z_anchor = (z2, z)
-        return build_representation(x, y, z)
+        return _build_representation(x, y, z)
 
 
 def base_representation() -> Representation:
-    return build_representation(BASE_X, BASE_Y, BASE_Z)
+    return _build_representation(BASE_X, BASE_Y, BASE_Z)
 
 
 def _max_norm(m: np.ndarray) -> np.ndarray:

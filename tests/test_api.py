@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import conetube
-from conetube import curves, gluing, jets, tube
+from conetube import curves, gluing, holonomy, jets, tube
 
 PUBLIC = [
     "BASE_SHAPES", "BivariatePolynomial", "BranchAnchors", "BranchError",
@@ -12,7 +12,7 @@ PUBLIC = [
     "JetError", "KExpansion", "PeripheralMatrices", "Representation",
     "RepresentationFamily", "Slope", "SolvedStructure", "SurgeryError",
     "TOLERANCES", "TetShapes", "TubeError",
-    "TubeMeasurement", "VarietyPoint", "base_representation", "build_representation",
+    "TubeMeasurement", "VarietyPoint", "base_representation",
     "commutator_trace_minus2", "compose", "cone_expansion", "constant",
     "continue_log", "continue_sqrt", "convergence_table", "cusp_eigenvalues",
     "cusp_relation_residuals", "ensure_finite", "expand_from_polynomial", "expand_from_samples",
@@ -22,11 +22,12 @@ PUBLIC = [
     "peripheral_matrices", "real_modulus_jet", "relation_residuals", "residuals",
     "reversion", "solve_cone_structure", "solve_shapes", "trace_identity_l1",
     "trace_identity_m1", "tube_cosh2R", "unfilled_curve_sampler", "variable",
-    "whitehead_a_polynomial", "whitehead_k_reference", "y_from_l2", "z_radicand",
+    "whitehead_a_polynomial", "whitehead_k_reference", "y_from_l2",
 ]
 
-# names that copied another definition or served only the tests, by the
-# namespace that defined them; the test-only ones live in tests/oracles.py
+# names that copied another definition, served only the tests, or became
+# module-private, by the namespace that defined them; the test-only ones
+# live in tests/oracles.py
 GONE = {
     tube: [
         "core_length", "commutator_trace_minus2_from_eigenvalues", "monotonicity_report",
@@ -35,13 +36,14 @@ GONE = {
     curves: ["involution_defect"],
     curves.GeometricCurve: ["is_involution_symmetric"],
     gluing: ["alternate_eigenvalues"],
+    holonomy: ["build_representation", "z_radicand"],
     jets: ["sqrt_along_path", "log_along_path", "_walk", "_MAX_DEPTH"],
     jets.Jet: ["truncate"],
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 65
     assert sorted(conetube.__all__) == PUBLIC
 
 

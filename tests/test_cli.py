@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +143,13 @@ def test_verify_impossible_tol_fails(capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_negative_seed_exits_3(capsys):
+    code, out, err = _exit_code(capsys, "verify", "--points", "5", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert "--seed must be non-negative" in err
+
+
 def test_env_tol_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CONETUBE_TOL", "1e-30")
     code, out, _ = run(capsys, "verify", "--points", "5")
@@ -229,6 +238,31 @@ def test_tol_only_on_commands_that_give_a_verdict(capsys, monkeypatch, argv):
     monkeypatch.setenv("CONETUBE_TOL", "nan")
     assert _exit_code(capsys, *argv) == expected
     assert expected[0] == 0
+
+
+def test_kcoeffs_refuses_tol_next_to_a_first_cusp_slope(capsys, monkeypatch):
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    argv = ["kcoeffs", "--p1", "40", "--q1", "1", "--p2", "3", "--q2", "1"]
+    code, out, err = _exit_code(capsys, *argv, "--tol", "0.5")
+    assert code == 3
+    assert out == ""
+    assert "--tol gives no verdict next to --p1/--q1" in err
+
+
+@pytest.mark.parametrize("env", ["0.5", "nan"])
+def test_filled_kcoeffs_ignores_the_env_tol(capsys, monkeypatch, env):
+    monkeypatch.setenv("CONETUBE_TOL", env)
+    code, out, _ = run(capsys, "kcoeffs", "--p1", "40", "--q1", "1", "--p2", "3", "--q2", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["reference"], payload["agreement"], payload["tol"]) == (None, None, None)
+
+
+def test_unfilled_kcoeffs_reads_the_env_tol(capsys, monkeypatch):
+    monkeypatch.setenv("CONETUBE_TOL", "0.5")
+    code, out, _ = run(capsys, "kcoeffs", "--p2", "3", "--q2", "1")
+    assert code == 0
+    assert json.loads(out)["tol"] == 0.5
 
 
 @pytest.mark.parametrize(
@@ -409,3 +443,75 @@ def test_a_refused_row_names_the_drawn_point():
         with cli._points_from(1024):
             cli.solve_shapes(u, 0.5 + 0.5j)
     assert type(exc.value) is cli.GluingError
+
+
+def test_builtin_curve_is_expanded_once_per_process(tmp_path, monkeypatch):
+    calls = []
+    expand = cli.expand_from_polynomial
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(cli, "expand_from_polynomial", counted)
+    cli._builtin_curve.cache_clear()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["k1scan", "--max", "8", "--output", str(first)]) == 0
+    assert main(["k1scan", "--max", "8", "--output", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    assert len(calls) == 1
+
+
+def test_a_rewritten_polynomial_file_is_read_again(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+
+    def scan(a):
+        # the line l + 1 = a (m + 1), a curve through (-1, -1) with slope a
+        terms = [(1, 0, 1.0), (0, 0, 1.0 - a), (0, 1, -a)]
+        poly.write_text(json.dumps({"terms": [
+            {"dl": dl, "dm": dm, "re": c.real, "im": c.imag} for dl, dm, c in terms
+        ]}))
+        code, out, _ = run(capsys, "acoeffs", "--polynomial", str(poly))
+        assert code == 0
+        return json.loads(out)["a1"]
+
+    assert scan(2 + 2j) == pytest.approx({"re": 2.0, "im": 2.0})
+    assert scan(2 + 1.5j) == pytest.approx({"re": 2.0, "im": 1.5})
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, _, err = _exit_code(capsys, "k1scan", "--max", "0")
+    assert code == 3 and "--max must be at least 1" in err
+    code, _, err = _exit_code(capsys, "k1scan", "--frobnicate")
+    assert code == 3 and "unrecognized arguments" in err
+    assert main(["k1scan", "--max", "2", "--output", str(tmp_path / "scan.json")]) == 0
+    assert main(["converge", "--n", "8", "--output", str(tmp_path / "converge.json")]) == 0
+    assert cli.build_parser().parse_args(["converge"]).n == [8, 16, 32, 64]
+
+
+def _readme_commands() -> list[str]:
+    """The command lines of README.md's fenced sh block of conetube examples."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```", 1)[0]
+        lines += [
+            line.split("#", 1)[0].strip()
+            for line in body.splitlines()
+            if line.startswith("conetube ")
+        ]
+    return lines
+
+
+def test_readme_has_command_examples():
+    assert len(_readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_example_runs(tmp_path, monkeypatch, line):
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    target = tmp_path / "out.json"
+    argv = shlex.split(line)[1:]
+    assert main(argv + ["--output", str(target)]) == 0
+    assert json.loads(target.read_text())["command"] == argv[0]

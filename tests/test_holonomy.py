@@ -8,7 +8,6 @@ from conetube import (
     Representation,
     RepresentationFamily,
     base_representation,
-    build_representation,
     commutator_trace_minus2,
     cusp_relation_residuals,
     l2_eigenvalue,
@@ -17,9 +16,10 @@ from conetube import (
     trace_identity_l1,
     trace_identity_m1,
     y_from_l2,
-    z_radicand,
 )
-from conetube.holonomy import BASE_X, BASE_Y, BASE_Z, sl2_inverse
+from conetube.holonomy import (
+    BASE_X, BASE_Y, BASE_Z, _build_representation, _z_radicand, sl2_inverse,
+)
 
 
 def _walk_to(x: complex, y: complex, steps: int = 10):
@@ -53,7 +53,7 @@ def test_base_relations():
 
 
 def test_base_z_value():
-    w, z2 = z_radicand(BASE_X, BASE_Y)
+    w, z2 = _z_radicand(BASE_X, BASE_Y)
     assert abs(w + 4.0) < 1e-15
     assert abs(z2 - 0.5j) < 1e-15
     assert abs(BASE_Z**2 - z2) < 1e-15
@@ -69,11 +69,11 @@ def test_relations_hold_on_family():
 
 
 def test_wrong_z_branch_rejected():
-    w, z2 = z_radicand(BASE_X, BASE_Y)
+    w, z2 = _z_radicand(BASE_X, BASE_Y)
     with pytest.raises(HolonomyError):
-        build_representation(BASE_X, BASE_Y, 1.1 * BASE_Z)
+        _build_representation(BASE_X, BASE_Y, 1.1 * BASE_Z)
     # the other sqrt branch is a valid value for the radicand
-    build_representation(BASE_X, BASE_Y, -BASE_Z)
+    _build_representation(BASE_X, BASE_Y, -BASE_Z)
 
 
 def test_second_longitude_upper_triangular():
@@ -202,10 +202,10 @@ def test_stacked_representations_equal_rows():
 BAD_ROWS = {
     # name: (operation on (x, y, z), bad point, error type); good rows
     # are the base point
-    "w = 0": (lambda x, y, z: z_radicand(x, y), (2.0, 0.75, BASE_Z), HolonomyError),
-    "x = 0": (build_representation, (0.0, BASE_Y, BASE_Z), HolonomyError),
-    "z value": (build_representation, (BASE_X, BASE_Y, 1.1 * BASE_Z), HolonomyError),
-    "non-finite": (build_representation, (complex("nan"), BASE_Y, BASE_Z), ValueError),
+    "w = 0": (lambda x, y, z: _z_radicand(x, y), (2.0, 0.75, BASE_Z), HolonomyError),
+    "x = 0": (_build_representation, (0.0, BASE_Y, BASE_Z), HolonomyError),
+    "z value": (_build_representation, (BASE_X, BASE_Y, 1.1 * BASE_Z), HolonomyError),
+    "non-finite": (_build_representation, (complex("nan"), BASE_Y, BASE_Z), ValueError),
     # one z step from the base anchor to y = 3 + 2i is too long
     "branch step": (
         lambda x, y, z: RepresentationFamily().representation(x, y),
