@@ -36,9 +36,9 @@ from .gluing import (
 )
 from .holonomy import (
     HolonomyError,
-    RepresentationFamily,
     base_representation,
     commutator_trace_minus2,
+    continue_representation,
     relation_residuals,
     trace_identity_l1,
     trace_identity_m1,
@@ -68,6 +68,7 @@ _ERRORS = (
     JetError,
     SurgeryError,
     TubeError,
+    OSError,
 )
 _UNFILLED_HINT = 2 + 2j
 _VERIFY_SEED = 20250819
@@ -178,8 +179,11 @@ def cmd_base(args, parser: _Parser) -> int:
     ev = cusp_eigenvalues(shapes)
     rep = base_representation()
     g1, g2 = (float(g) for g in relation_residuals(rep))
-    tol = args.tol if args.tol is not None else TOLERANCES.algebraic
-    ok = max(abs(r1), abs(r2), g1, g2) < tol
+    # the gluing residuals are algebraic identities, the relations matrix products
+    tol = {"gluing": TOLERANCES.algebraic, "relations": TOLERANCES.group_relation}
+    if args.tol is not None:
+        tol = dict.fromkeys(tol, args.tol)
+    ok = max(abs(r1), abs(r2)) < tol["gluing"] and max(g1, g2) < tol["relations"]
     payload = {
         "command": "base",
         "z": [_c(z) for z in shapes.as_tuple()],
@@ -369,6 +373,8 @@ def cmd_converge(args, parser: _Parser) -> int:
 
 
 def cmd_tube(args, parser: _Parser) -> int:
+    if not math.isfinite(args.theta):
+        parser.error("--theta must be finite")
     slope2 = _slope_or_exit(parser, args.p2, args.q2, "(p2, q2)")
     slope1 = _slope1(args, parser)
     if not 0.0 < args.theta <= THETA_MAX:
@@ -423,8 +429,8 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
     Points go through in blocks of ``_VERIFY_BLOCK`` rows, each block as one
     batch, and each check draws its points in order, block after block:
     the same draws as one ``(points, 4)`` uniform array, so a seed gives
-    the same points whatever the block size. The 8-substep walks from the
-    base commit their anchors at every substep.
+    the same points whatever the block size. Each substep of the 8-substep
+    walks from the base continues its branches from the substep before.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -463,9 +469,9 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
     for start, dx, dy in blocks(0.12):
         x, y = -1.0 + dx, 2j + dy
         with _points_from(start):
-            fam = RepresentationFamily()
+            rep = None
             for s in steps:
-                rep = fam.representation(-1.0 + s * (x + 1.0), 2j + s * (y - 2j), commit=True)
+                rep = continue_representation(-1.0 + s * (x + 1.0), 2j + s * (y - 2j), rep)
             worst_group = max(worst_group, float(np.maximum(*relation_residuals(rep)).max()))
             comm = abs(commutator_trace_minus2(rep) + rep.y)
         worst_comm = max(worst_comm, float(comm.max()))
@@ -481,7 +487,8 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
             anchors = BranchAnchors()
             for s in steps:
                 shapes = solve_shapes(base + s * (u - base), base + s * (v - base))
-                ev = cusp_eigenvalues(shapes, anchors, commit=True)
+                ev = cusp_eigenvalues(shapes, anchors)
+                anchors = ev.anchors
             lhs_m = (ev.m1 + 1.0 / ev.m1) ** 2
             lhs_l = ev.l1 + 1.0 / ev.l1
             res = np.maximum(
@@ -575,14 +582,14 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("base", help="complete-structure report")
     _add_common(sub)
-    _add_tol(sub, "algebraic")
-    sub.set_defaults(func=cmd_base)
+    _add_tol(sub, "algebraic", "group_relation")
+    sub.set_defaults(func=cmd_base, parser=sub)
 
     sub = subs.add_parser("acoeffs", help="curve coefficients a1, a2, a3")
     _add_common(sub)
     _add_slope1(sub)
     _add_polynomial(sub)
-    sub.set_defaults(func=cmd_acoeffs)
+    sub.set_defaults(func=cmd_acoeffs, parser=sub)
 
     sub = subs.add_parser("kcoeffs", help="mu_hat^2 expansion coefficients k0, k1")
     _add_common(sub)
@@ -590,14 +597,14 @@ def build_parser() -> _Parser:
     _add_slope1(sub)
     _add_polynomial(sub)
     _add_slope2(sub)
-    sub.set_defaults(func=cmd_kcoeffs)
+    sub.set_defaults(func=cmd_kcoeffs, parser=sub)
 
     sub = subs.add_parser("k1scan", help="k1 over all coprime slopes up to a norm")
     _add_common(sub)
     _add_slope1(sub)
     _add_polynomial(sub)
     sub.add_argument("--max", type=int, default=10, help="norm bound |p2| + |q2|")
-    sub.set_defaults(func=cmd_k1scan)
+    sub.set_defaults(func=cmd_k1scan, parser=sub)
 
     sub = subs.add_parser("converge", help="filled-curve coefficient convergence table")
     _add_common(sub)
@@ -606,27 +613,26 @@ def build_parser() -> _Parser:
         help="first-cusp slopes (n, 1)",
     )
     _add_polynomial(sub)
-    sub.set_defaults(func=cmd_converge)
+    sub.set_defaults(func=cmd_converge, parser=sub)
 
     sub = subs.add_parser("tube", help="tube measurement at an explicit cone angle")
     _add_common(sub)
     _add_slope1(sub)
     _add_slope2(sub)
     sub.add_argument("--theta", type=float, required=True, help="cone angle, radians")
-    sub.set_defaults(func=cmd_tube)
+    sub.set_defaults(func=cmd_tube, parser=sub)
 
     sub = subs.add_parser("verify", help="structural invariant suite")
     _add_common(sub)
     _add_tol(sub, "algebraic", "group_relation", "commutator_trace", "trace_relation")
     sub.add_argument("--points", type=int, default=100, help="sample points per check")
     sub.add_argument("--seed", type=int, default=_VERIFY_SEED, help="RNG seed")
-    sub.set_defaults(func=cmd_verify)
+    sub.set_defaults(func=cmd_verify, parser=sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     env = os.environ.get(ENV_TOL)
     # a filled first cusp leaves kcoeffs without a verdict, so without a threshold
     verdict = hasattr(args, "tol") and not _first_cusp_filled(args)
@@ -636,14 +642,9 @@ def main(argv: list[str] | None = None) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"conetube: bad {ENV_TOL}: {exc}", file=sys.stderr)
             return 3
-    if getattr(args, "theta", None) is not None and not math.isfinite(args.theta):
-        parser.error("--theta must be finite")
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except _ERRORS as exc:
-        print(f"conetube: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"conetube: {exc}", file=sys.stderr)
         return 2
 

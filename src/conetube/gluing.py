@@ -23,14 +23,16 @@ root is never taken.
 
 Cusp meridian/longitude eigenvalues are square-root expressions in the
 shapes. Both cusps have eigenvalue -1 at the base, and every square root is
-1 there; moving around the chart the caller carries ``BranchAnchors`` so
-the sheet is continued, never re-chosen.
+1 there. ``cusp_eigenvalues`` continues each root from given
+``BranchAnchors`` and returns, with the eigenvalues, the anchors that
+continue them further: a walk hands each point's anchors to the next, so
+the sheet is continued, never re-chosen, and no anchor is ever mutated.
 
 Batches. ``solve_shapes``, ``TetShapes.check_nondegenerate`` and
 ``cusp_eigenvalues`` choose their mechanics from the type of their input.
 Python numbers take the scalar path. ndarrays of chart points take the row
 path: each row is one point, and ``TetShapes``, ``CuspEigenvalues`` and
-committed ``BranchAnchors`` then hold arrays with that batch axis. Both
+the returned ``BranchAnchors`` then hold arrays with that batch axis. Both
 paths share the algebra (``_quadratic``, the root choice, ``z4``,
 ``sqrt_arguments``, ``residuals``). On the row path every guard runs on
 every row with the scalar threshold: finiteness, ``CHART_RADIUS``, the
@@ -213,12 +215,12 @@ def _shape_derivatives(s: TetShapes) -> tuple[complex, complex, complex, complex
     return -w_u, -w_v, -b * (a * w_u + w) / (a * a), (w - b * w_v) / a
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class BranchAnchors:
-    """Last committed (argument, value) pair of each cusp square root.
+    """(argument, value) of each cusp square root at one point; the default is the base.
 
-    Numbers for one point; after a commit on the row path, arrays with one
-    anchor per row. The base anchors broadcast over any batch.
+    Numbers for one point; on the row path, arrays with one anchor per row.
+    The base anchors broadcast over any batch.
     """
 
     m1: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
@@ -229,12 +231,16 @@ class BranchAnchors:
 
 @dataclasses.dataclass(frozen=True)
 class CuspEigenvalues:
-    """Meridian/longitude holonomy eigenvalues of the two cusps."""
+    """Meridian/longitude holonomy eigenvalues of the two cusps.
+
+    ``anchors`` holds the square roots continued to these eigenvalues' point.
+    """
 
     m1: complex
     l1: complex
     m2: complex
     l2: complex
+    anchors: BranchAnchors
 
 
 def sqrt_arguments(s: TetShapes) -> tuple[complex, complex, complex, complex]:
@@ -275,19 +281,12 @@ def log_eigenvalue_gradients(
     return tuple(zip(*rows))
 
 
-def cusp_eigenvalues(
-    s: TetShapes,
-    anchors: BranchAnchors | None = None,
-    commit: bool = False,
-) -> CuspEigenvalues:
-    """Eigenvalues at the shapes ``s``, continued from ``anchors``.
+def cusp_eigenvalues(s: TetShapes, anchors: BranchAnchors = BranchAnchors()) -> CuspEigenvalues:
+    """Eigenvalues at the shapes ``s``, continued from ``anchors`` (the base's by default).
 
-    With ``commit`` the anchors are advanced to ``s``; probe evaluations
-    (finite differences, line searches) should leave it False. Shapes that
-    hold arrays continue every row from its own anchor.
+    The result carries the anchors continued to ``s``. Shapes that hold
+    arrays continue every row from its own anchor.
     """
-    if anchors is None:
-        anchors = BranchAnchors()
     z1, z2, z3, z4 = s.as_tuple()
     arg_m1, arg_l1, arg_m2, arg_l2 = sqrt_arguments(s)
     try:
@@ -299,11 +298,6 @@ def cusp_eigenvalues(
         lost = GluingError(f"eigenvalue branch lost: {exc}")
         lost.row, lost.reason = exc.row, f"eigenvalue branch lost: {exc.reason}"
         raise lost from exc
-    if commit:
-        anchors.m1 = (arg_m1, s_m1)
-        anchors.l1 = (arg_l1, s_l1)
-        anchors.m2 = (arg_m2, s_m2)
-        anchors.l2 = (arg_l2, s_l2)
     ratio1 = (1 - z4) / (1 - z2)
     ratio2 = (1 - z2) / (1 - z1)
     return CuspEigenvalues(
@@ -311,4 +305,5 @@ def cusp_eigenvalues(
         l1=-ratio1 * s_l1,
         m2=-s_m2,
         l2=-ratio2 * s_l2,
+        anchors=BranchAnchors((arg_m1, s_m1), (arg_l1, s_l1), (arg_m2, s_m2), (arg_l2, s_l2)),
     )

@@ -13,7 +13,9 @@ alpha/gamma pair). One matrix entry involves
     w = (x^2 y - x^2 + 1) (x^2 y + (x^2 - 1)^2),
 
 whose branch is pinned at the complete structure ``(x, y) = (-1, 2i)``
-where ``w = -4`` and ``z = -(1+i)/2``, and continued from there.
+where ``w = -4`` and ``z = -(1+i)/2``, and continued from there:
+``continue_representation`` continues z from a previous representation's
+``(z_squared, z)``, so a walk hands each representation to the next.
 
 Peripheral elements: the second-cusp meridian/longitude pair is
 ``(alpha, gamma alpha^-1 gamma^-1 alpha beta^-1 alpha)``, both upper
@@ -99,11 +101,12 @@ def _z_radicand(x, y) -> tuple:
 
 @dataclasses.dataclass(frozen=True)
 class Representation:
-    """Matrices at (x, y) on the branch z; arrays over a batch of points."""
+    """Matrices at (x, y) on the branch z of z_squared; arrays over a batch of points."""
 
     x: complex
     y: complex
     z: complex
+    z_squared: complex
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
@@ -132,30 +135,24 @@ def _build_representation(x, y, z_value) -> Representation:
         HolonomyError,
         lambda i: f"gamma determinant {complex(det[i])!r} is not 1",
     )
-    return Representation(x, y, z, alpha, beta, gamma)
+    return Representation(x, y, z, z2, alpha, beta, gamma)
 
 
-class RepresentationFamily:
-    """Branch-tracked access to the family; continue z as (x, y) moves.
+def continue_representation(x, y, previous: Representation | None = None) -> Representation:
+    """The representation at (x, y), its z continued from ``previous`` (the base if None).
 
-    The anchor is one (z^2, z) pair, or arrays of them after a commit on a
-    batch; the base anchor broadcasts over any batch.
+    Each row of a batch continues from its own row of ``previous``; the base
+    broadcasts over any batch.
     """
-
-    def __init__(self) -> None:
-        self.z_anchor: tuple = (BASE_Z_SQUARED, BASE_Z)
-
-    def representation(self, x, y, commit: bool = False) -> Representation:
-        _, z2 = _z_radicand(x, y)
-        try:
-            z = continue_sqrt(np.asarray(z2), *self.z_anchor)
-        except BranchError as exc:
-            lost = HolonomyError(f"z branch lost: {exc}")
-            lost.row, lost.reason = exc.row, f"z branch lost: {exc.reason}"
-            raise lost from exc
-        if commit:
-            self.z_anchor = (z2, z)
-        return _build_representation(x, y, z)
+    _, z2 = _z_radicand(x, y)
+    anchor = (BASE_Z_SQUARED, BASE_Z) if previous is None else (previous.z_squared, previous.z)
+    try:
+        z = continue_sqrt(np.asarray(z2), *anchor)
+    except BranchError as exc:
+        lost = HolonomyError(f"z branch lost: {exc}")
+        lost.row, lost.reason = exc.row, f"z branch lost: {exc.reason}"
+        raise lost from exc
+    return _build_representation(x, y, z)
 
 
 def base_representation() -> Representation:

@@ -455,7 +455,7 @@ def continue_sqrt(arg, anchor_arg, anchor_value):
     row, with anchors that broadcast against it; the step guards run on
     every row, and a refused row refuses the batch with its row named.
     """
-    # a Python complex, the scalar walkers' case, skips the array test
+    # a Python complex, the scalar walks' case, skips the array test
     if type(arg) is not complex and isinstance(arg, np.ndarray):
         _refuse(
             (anchor_arg == 0) | (arg == 0),

@@ -21,7 +21,10 @@ so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
 those six quantities (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
 A parameter (the first cusp's 2 pi i target, then theta) is continued with
 a step that doubles after each accepted Newton solve and halves after each
-refused one. Branch anchors move only on accepted steps.
+refused one. A walk's whole state is its last accepted ``VarietyPoint``,
+which carries the anchors of every square root and log: each Newton
+iterate is continued from that point, so a refused step leaves nothing to
+undo. The complete structure ``_COMPLETE`` starts every walk.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .config import TOLERANCES
 from .curves import CurveError, GeometricCurve, expand_from_samples
 from .gluing import (
     BASE_SHAPE,
+    BASE_SHAPES,
     BranchAnchors,
     CuspEigenvalues,
     GluingError,
@@ -196,17 +200,13 @@ def cone_expansion(
     )
 
 
-@dataclasses.dataclass
-class _LogAnchors:
-    m1: tuple[complex, complex] = (1.0 + 0j, 0j)
-    l1: tuple[complex, complex] = (1.0 + 0j, 0j)
-    m2: tuple[complex, complex] = (1.0 + 0j, 0j)
-    l2: tuple[complex, complex] = (1.0 + 0j, 0j)
-
-
 @dataclasses.dataclass(frozen=True)
 class VarietyPoint:
-    """A chart point with eigenvalues and branch-continued filling logs."""
+    """A chart point with eigenvalues and branch-continued filling logs.
+
+    It holds every anchor that continues its branches: the square roots in
+    ``eigenvalues.anchors`` and each log beside its argument -eigenvalue.
+    """
 
     u: complex
     v: complex
@@ -283,74 +283,52 @@ class SolvedStructure:
         )
 
 
-class _ChartWalker:
-    """Newton state on the chart; commits branch anchors per accepted step."""
+_MINUS_ONE = complex(-1.0, -0.0)  # so that the log argument -m is exactly 1 + 0j
+_COMPLETE = VarietyPoint(
+    u=BASE_SHAPE, v=BASE_SHAPE, shapes=BASE_SHAPES,
+    eigenvalues=CuspEigenvalues(_MINUS_ONE, _MINUS_ONE, _MINUS_ONE, _MINUS_ONE, BranchAnchors()),
+    log_m1=0j, log_l1=0j, log_m2=0j, log_l2=0j,
+)
 
-    def __init__(self) -> None:
-        self.u = BASE_SHAPE
-        self.v = BASE_SHAPE
-        self.anchors = BranchAnchors()
-        self.logs = _LogAnchors()
 
-    def clone(self) -> "_ChartWalker":
-        other = _ChartWalker.__new__(_ChartWalker)
-        other.u, other.v = self.u, self.v
-        other.anchors = dataclasses.replace(self.anchors)
-        other.logs = dataclasses.replace(self.logs)
-        return other
+def _continue_point(prev: VarietyPoint, u: complex, v: complex) -> VarietyPoint:
+    """The chart point (u, v), every branch continued from prev."""
+    shapes = solve_shapes(u, v)
+    ev = cusp_eigenvalues(shapes, prev.eigenvalues.anchors)
+    old = prev.eigenvalues
+    try:
+        lm1 = continue_log(-ev.m1, -old.m1, prev.log_m1)
+        ll1 = continue_log(-ev.l1, -old.l1, prev.log_l1)
+        lm2 = continue_log(-ev.m2, -old.m2, prev.log_m2)
+        ll2 = continue_log(-ev.l2, -old.l2, prev.log_l2)
+    except BranchError as exc:
+        raise GluingError(f"filling log branch lost: {exc}") from exc
+    return VarietyPoint(
+        u=u, v=v, shapes=shapes, eigenvalues=ev,
+        log_m1=lm1, log_l1=ll1, log_m2=lm2, log_l2=ll2,
+    )
 
-    def evaluate(self, u: complex, v: complex) -> VarietyPoint:
-        """The chart point (u, v), continued from the committed anchors."""
-        shapes = solve_shapes(u, v)
-        ev = cusp_eigenvalues(shapes, self.anchors)
-        try:
-            lm1 = continue_log(-ev.m1, *self.logs.m1)
-            ll1 = continue_log(-ev.l1, *self.logs.l1)
-            lm2 = continue_log(-ev.m2, *self.logs.m2)
-            ll2 = continue_log(-ev.l2, *self.logs.l2)
-        except BranchError as exc:
-            raise GluingError(f"filling log branch lost: {exc}") from exc
-        return VarietyPoint(
-            u=u, v=v, shapes=shapes, eigenvalues=ev,
-            log_m1=lm1, log_l1=ll1, log_m2=lm2, log_l2=ll2,
-        )
 
-    def commit(self, pt: VarietyPoint) -> None:
-        """Advance every anchor to pt, a point evaluated from the current ones."""
-        # the same continuation steps evaluate took, now recorded; no re-solve
-        cusp_eigenvalues(pt.shapes, self.anchors, commit=True)
-        ev = pt.eigenvalues
-        self.logs.m1 = (-ev.m1, pt.log_m1)
-        self.logs.l1 = (-ev.l1, pt.log_l1)
-        self.logs.m2 = (-ev.m2, pt.log_m2)
-        self.logs.l2 = (-ev.l2, pt.log_l2)
-        self.u, self.v = pt.u, pt.v
-
-    def newton(self, residual: _Residual) -> VarietyPoint:
-        """Solve residual = 0 from the current committed point.
-
-        Only the converged point is committed: a refusal leaves the walker
-        as it was.
-        """
-        u, v = self.u, self.v
-        tol = TOLERANCES.newton
-        polish = False
-        for _ in range(_NEWTON_MAX_ITER):
-            pt = self.evaluate(u, v)
-            x = _coordinates(pt)
-            f1, f2 = residual[0].value(x), residual[1].value(x)
-            if polish or max(abs(f1), abs(f2)) < tol:
-                if polish:
-                    self.commit(pt)
-                    return pt
-                polish = True
-            (j11, j12), (j21, j22) = _jacobian(residual, pt)
-            det = j11 * j22 - j12 * j21
-            if abs(det) < TOLERANCES.singular:
-                raise SurgeryError("filling Jacobian is singular")
-            u -= (f1 * j22 - f2 * j12) / det
-            v -= (j11 * f2 - j21 * f1) / det
-        raise SurgeryError("filling Newton failed to converge")
+def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
+    """The converged point of residual = 0, Newton from start on start's branches."""
+    u, v = start.u, start.v
+    tol = TOLERANCES.newton
+    polish = False
+    for _ in range(_NEWTON_MAX_ITER):
+        pt = _continue_point(start, u, v)
+        x = _coordinates(pt)
+        f1, f2 = residual[0].value(x), residual[1].value(x)
+        if polish or max(abs(f1), abs(f2)) < tol:
+            if polish:
+                return pt
+            polish = True
+        (j11, j12), (j21, j22) = _jacobian(residual, pt)
+        det = j11 * j22 - j12 * j21
+        if abs(det) < TOLERANCES.singular:
+            raise SurgeryError("filling Jacobian is singular")
+        u -= (f1 * j22 - f2 * j12) / det
+        v -= (j11 * f2 - j21 * f1) / det
+    raise SurgeryError("filling Newton failed to converge")
 
 
 def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Affine:
@@ -361,23 +339,22 @@ def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Affine:
 
 
 def _continue_parameter(
-    walker: _ChartWalker,
+    start: VarietyPoint,
     make_residual: Callable[[float], _Residual],
     target: float,
     step: float,
     min_step: float,
 ) -> VarietyPoint:
-    """March a scalar parameter to target.
+    """March a scalar parameter from 0 at start to target; the last accepted point.
 
     The step doubles after each accepted Newton solve and halves after each
     refused one; below min_step the refusal is raised.
     """
-    t = 0.0
-    pt = walker.evaluate(walker.u, walker.v)
+    t, pt = 0.0, start
     while t < target:
         nxt = min(target, t + step)
         try:
-            pt = walker.newton(make_residual(nxt))
+            pt = _newton(pt, make_residual(nxt))
         except (SurgeryError, GluingError):
             step /= 2.0
             if step < min_step:
@@ -388,15 +365,13 @@ def _continue_parameter(
     return pt
 
 
-def _filled_base_walker(slope1: Slope) -> _ChartWalker:
+def _filled_base(slope1: Slope) -> VarietyPoint:
     """Continue the first-cusp relation from the complete structure to pi*i."""
-    walker = _ChartWalker()
 
     def residual_at(tau: float) -> _Residual:
         return _first_cusp_residual(slope1, tau), _pinned_meridian(0.0)
 
-    _continue_parameter(walker, residual_at, 1.0, _TAU_STEP, _TAU_STEP_MIN)
-    return walker
+    return _continue_parameter(_COMPLETE, residual_at, 1.0, _TAU_STEP, _TAU_STEP_MIN)
 
 
 def solve_cone_structure(
@@ -412,18 +387,15 @@ def solve_cone_structure(
     theta = float(theta)
     if not 0.0 <= theta <= THETA_MAX:
         raise SurgeryError(f"theta {theta} outside [0, {THETA_MAX}]")
-    walker = _ChartWalker() if slope1 is None else _filled_base_walker(slope1)
+    start = _COMPLETE if slope1 is None else _filled_base(slope1)
     first = _first_cusp_residual(slope1, 1.0)
 
     def residual_at(th: float) -> _Residual:
         return first, _second_cusp_residual(slope2, th)
 
-    if theta == 0.0 and slope1 is None:
-        pt = walker.evaluate(walker.u, walker.v)
-    else:
-        pt = _continue_parameter(walker, residual_at, theta, _THETA_STEP, _THETA_STEP_MIN)
-        if theta == 0.0:
-            pt = walker.newton(residual_at(0.0))
+    pt = _continue_parameter(start, residual_at, theta, _THETA_STEP, _THETA_STEP_MIN)
+    if theta == 0.0 and slope1 is not None:
+        pt = _newton(pt, residual_at(0.0))
     structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)
     r1, r2 = structure.filling_residuals()
     if max(abs(r1), abs(r2)) > TOLERANCES.filling_residual:
@@ -431,12 +403,11 @@ def solve_cone_structure(
     return structure
 
 
-def _meridian_pinned_sampler(base: _ChartWalker, first: _Affine) -> Callable:
-    """Sampler s -> (m2, l2) solving {first-cusp relation, m2 = -1 + s}."""
+def _meridian_pinned_sampler(base: VarietyPoint, first: _Affine) -> Callable:
+    """Sampler s -> (m2, l2) solving {first-cusp relation, m2 = -1 + s} from base."""
 
     def sample(s: complex) -> tuple[complex, complex]:
-        walker = base.clone()
-        pt = walker.newton((first, _pinned_meridian(s)))
+        pt = _newton(base, (first, _pinned_meridian(s)))
         return pt.eigenvalues.m2, pt.eigenvalues.l2
 
     return sample
@@ -444,23 +415,21 @@ def _meridian_pinned_sampler(base: _ChartWalker, first: _Affine) -> Callable:
 
 def unfilled_curve_sampler() -> Callable[[complex], tuple[complex, complex]]:
     """Sampler of the second-cusp eigenvalue curve with the first cusp complete."""
-    return _meridian_pinned_sampler(_ChartWalker(), _first_cusp_residual(None, 1.0))
+    return _meridian_pinned_sampler(_COMPLETE, _first_cusp_residual(None, 1.0))
 
 
 def filled_curve_sampler(slope1: Slope) -> Callable[[complex], tuple[complex, complex]]:
     """Sampler of the second-cusp curve with the first cusp filled along slope1.
 
     Solves the filled base point once; each sample is an independent Newton
-    solve from a cloned walker, so the sampler is reentrant. Small slopes
+    solve from that point, so the sampler is reentrant. Small slopes
     put the filled base point outside the chart, hence the norm floor.
     """
     if abs(slope1.p) + abs(slope1.q) < MIN_FILLED_NORM:
         raise SurgeryError(
             f"|p1| + |q1| = {abs(slope1.p) + abs(slope1.q)} below floor {MIN_FILLED_NORM}"
         )
-    return _meridian_pinned_sampler(
-        _filled_base_walker(slope1), _first_cusp_residual(slope1, 1.0)
-    )
+    return _meridian_pinned_sampler(_filled_base(slope1), _first_cusp_residual(slope1, 1.0))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -24,7 +24,7 @@ from conetube.gluing import (
     TetShapes,
     sqrt_arguments,
 )
-from conetube.holonomy import RepresentationFamily, y_from_l2
+from conetube.holonomy import continue_representation, y_from_l2
 from conetube.jets import BranchError, continue_log, continue_sqrt
 from conetube.tube import TubeError
 
@@ -33,16 +33,15 @@ from conetube.tube import TubeError
 
 
 def alternate_eigenvalues(
-    s: TetShapes, anchors: BranchAnchors | None = None
+    s: TetShapes, anchors: BranchAnchors = BranchAnchors()
 ) -> CuspEigenvalues:
     """The second printed form of each eigenvalue, for consistency checks.
 
     The first gluing equation makes (1-z4)/(1-z2) = (1-z3)/(1-z1) and
     (1-z2)/(1-z1) = (1-z4)/(1-z3); on the variety these agree with
-    ``cusp_eigenvalues`` and off it they differ. Never commits anchors.
+    ``cusp_eigenvalues`` and off it they differ. The anchors it returns
+    continue these printed forms' radicands, not ``cusp_eigenvalues``'s.
     """
-    if anchors is None:
-        anchors = BranchAnchors()
     z1, z2, z3, z4 = s.as_tuple()
     _, arg_l1, _, arg_l2 = sqrt_arguments(s)
     ratio1 = (1 - z3) / (1 - z1)
@@ -59,6 +58,7 @@ def alternate_eigenvalues(
         l1=-ratio1 * s_l1,
         m2=-s_m2,
         l2=-ratio2 * s_l2,
+        anchors=BranchAnchors((ratio1, s_m1), (arg_l1, s_l1), (ratio2, s_m2), (arg_l2, s_l2)),
     )
 
 
@@ -182,10 +182,10 @@ def _mobius(g: np.ndarray, w: complex) -> complex:
 def _rep_at_structure(structure, steps: int = 12):
     x = structure.point.eigenvalues.m2
     y = y_from_l2(x, structure.point.eigenvalues.l2)
-    fam = RepresentationFamily()
+    rep = None
     for k in range(1, steps + 1):
         s = k / steps
-        rep = fam.representation(-1 + s * (x + 1), 2j + s * (y - 2j), commit=True)
+        rep = continue_representation(-1 + s * (x + 1), 2j + s * (y - 2j), rep)
     return rep
 
 

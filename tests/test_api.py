@@ -3,19 +3,19 @@
 from __future__ import annotations
 
 import conetube
-from conetube import curves, gluing, holonomy, jets, tube
+from conetube import curves, gluing, holonomy, jets, surgery, tube
 
 PUBLIC = [
     "BASE_SHAPES", "BivariatePolynomial", "BranchAnchors", "BranchError",
     "ConeExpansion", "ConvergenceRow", "CurveError", "CuspEigenvalues",
     "GeometricCurve", "GluingError", "HolonomyError", "Jet",
     "JetError", "KExpansion", "PeripheralMatrices", "Representation",
-    "RepresentationFamily", "Slope", "SolvedStructure", "SurgeryError",
-    "TOLERANCES", "TetShapes", "TubeError",
+    "Slope", "SolvedStructure", "SurgeryError", "TOLERANCES", "TetShapes", "TubeError",
     "TubeMeasurement", "VarietyPoint", "base_representation",
     "commutator_trace_minus2", "compose", "cone_expansion", "constant",
-    "continue_log", "continue_sqrt", "convergence_table", "cusp_eigenvalues",
-    "cusp_relation_residuals", "ensure_finite", "expand_from_polynomial", "expand_from_samples",
+    "continue_log", "continue_representation", "continue_sqrt", "convergence_table",
+    "cusp_eigenvalues", "cusp_relation_residuals", "ensure_finite", "expand_from_polynomial",
+    "expand_from_samples",
     "figure_eight_a_polynomial", "filled_curve_sampler", "fit_k_expansion", "jet_exp",
     "jet_log", "jet_sqrt", "k1_range_check", "k_expansion_closed_form",
     "k_expansions", "l2_eigenvalue", "measure_tube", "mu_hat_squared_numeric",
@@ -25,9 +25,9 @@ PUBLIC = [
     "whitehead_a_polynomial", "whitehead_k_reference", "y_from_l2",
 ]
 
-# names that copied another definition, served only the tests, or became
-# module-private, by the namespace that defined them; the test-only ones
-# live in tests/oracles.py
+# names that copied another definition, served only the tests, became
+# module-private, or held branch state that points now carry as values, by
+# the namespace that defined them; the test-only ones live in tests/oracles.py
 GONE = {
     tube: [
         "core_length", "commutator_trace_minus2_from_eigenvalues", "monotonicity_report",
@@ -36,7 +36,8 @@ GONE = {
     curves: ["involution_defect"],
     curves.GeometricCurve: ["is_involution_symmetric"],
     gluing: ["alternate_eigenvalues"],
-    holonomy: ["build_representation", "z_radicand"],
+    holonomy: ["build_representation", "z_radicand", "RepresentationFamily"],
+    surgery: ["_ChartWalker", "_LogAnchors", "_filled_base_walker"],
     jets: ["sqrt_along_path", "log_along_path", "_walk", "_MAX_DEPTH"],
     jets.Jet: ["truncate"],
 }

@@ -176,6 +176,29 @@ def test_verify_reads_the_shared_tolerances(capsys, monkeypatch):
     }
 
 
+def test_base_tol_overrides_both_of_its_fields(capsys, monkeypatch):
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    code, out, _ = run(capsys, "base", "--tol", "1e-3")
+    assert code == 0
+    assert json.loads(out)["tol"] == {"gluing": 1e-3, "relations": 1e-3}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["k1scan", "--max", "0"], "--max must be at least 1"),
+        (["verify", "--seed", "-1"], "--seed must be non-negative"),
+        (["tube", "--p2", "1", "--q2", "0", "--theta", "nan"], "--theta must be finite"),
+    ],
+)
+def test_a_handler_usage_error_prints_its_command_usage(capsys, argv, message):
+    code, out, err = _exit_code(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"usage: conetube {argv[0]} ")
+    assert f"conetube {argv[0]}: error: {message}" in err
+
+
 def test_explicit_tol_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("CONETUBE_TOL", "1e-30")
     code, _, _ = run(capsys, "verify", "--points", "5", "--tol", "1e-6")
@@ -268,7 +291,7 @@ def test_unfilled_kcoeffs_reads_the_env_tol(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, fields",
     [
-        ("base", ["algebraic"]),
+        ("base", ["algebraic", "group_relation"]),
         ("kcoeffs", ["k_reference"]),
         ("verify", ["algebraic", "group_relation", "commutator_trace", "trace_relation"]),
     ],
@@ -393,18 +416,18 @@ def test_verify_uses_one_draw_per_point_in_order(monkeypatch):
     points, seed = 20, 11
     solved, walked = [], []
     solve = cli.solve_shapes
-    representation = cli.RepresentationFamily.representation
+    representation = cli.continue_representation
 
     def record_solve(u, v):
         solved.append((u, v))
         return solve(u, v)
 
-    def record_representation(self, x, y, commit=False):
+    def record_representation(x, y, previous=None):
         walked.append((x, y))
-        return representation(self, x, y, commit)
+        return representation(x, y, previous)
 
     monkeypatch.setattr(cli, "solve_shapes", record_solve)
-    monkeypatch.setattr(cli.RepresentationFamily, "representation", record_representation)
+    monkeypatch.setattr(cli, "continue_representation", record_representation)
     monkeypatch.setattr(cli, "_VERIFY_BLOCK", 8)
     checks = cli._verify_checks(points, seed, None)
     assert [c["points"] for c in checks] == [points] * 4

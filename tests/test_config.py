@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import conetube
-from conetube import TOLERANCES
+from conetube import TOLERANCES, cli
 
 SOURCES = sorted(Path(conetube.__file__).parent.glob("*.py"))
 _EXPONENT = re.compile(r"e([+-]?[0-9_]+)j?$", re.IGNORECASE)
@@ -61,3 +62,17 @@ def test_the_table_is_frozen():
 
 def test_every_threshold_keeps_its_value():
     assert dataclasses.asdict(TOLERANCES) == VALUES
+
+
+def test_one_quantity_is_judged_against_one_field(capsys, monkeypatch):
+    # base and verify both judge the matrix relation residuals, and both read
+    # group_relation for them; base reads algebraic for its gluing residuals
+    monkeypatch.delenv("CONETUBE_TOL", raising=False)
+    monkeypatch.setattr(
+        cli, "TOLERANCES", dataclasses.replace(TOLERANCES, group_relation=0.25, algebraic=0.5)
+    )
+    assert cli.main(["base"]) == 0
+    assert json.loads(capsys.readouterr().out)["tol"] == {"gluing": 0.5, "relations": 0.25}
+    assert cli.main(["verify", "--points", "5"]) == 0
+    tols = {c["check"]: c["tol"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert tols["group_relations"] == 0.25

@@ -21,12 +21,13 @@ BASE = 0.5 + 0.5j
 
 
 def _walked(u: complex, v: complex, steps: int = 8):
-    """Shapes and committed anchors along the straight chart path from base."""
+    """Shapes, anchors and eigenvalues continued along the straight chart path from base."""
     anchors = BranchAnchors()
     for k in range(1, steps + 1):
         s = k / steps
         shapes = solve_shapes(BASE + s * (u - BASE), BASE + s * (v - BASE))
-        ev = cusp_eigenvalues(shapes, anchors, commit=True)
+        ev = cusp_eigenvalues(shapes, anchors)
+        anchors = ev.anchors
     return shapes, anchors, ev
 
 
@@ -135,7 +136,7 @@ def test_big_jump_loses_branch():
     # in-chart point too far for a single continuation step from the base
     shapes = solve_shapes(0.293 + 0.368j, 0.651 + 0.541j)
     with pytest.raises(GluingError, match="branch"):
-        cusp_eigenvalues(shapes, BranchAnchors(), commit=True)
+        cusp_eigenvalues(shapes, BranchAnchors())
     # the same point is fine when walked
     _walked(0.293 + 0.368j, 0.651 + 0.541j)
 
@@ -214,7 +215,7 @@ BAD_ROWS = {
     "chart radius": (solve_shapes, (BASE + CHART_RADIUS + 0.01, BASE), GluingError),
     "non-finite": (solve_shapes, (complex("nan"), BASE), ValueError),
     "branch step": (
-        lambda u, v: cusp_eigenvalues(solve_shapes(u, v), BranchAnchors(), commit=True),
+        lambda u, v: cusp_eigenvalues(solve_shapes(u, v), BranchAnchors()),
         FAR,
         GluingError,
     ),

@@ -6,9 +6,9 @@ import pytest
 from conetube import (
     HolonomyError,
     Representation,
-    RepresentationFamily,
     base_representation,
     commutator_trace_minus2,
+    continue_representation,
     cusp_relation_residuals,
     l2_eigenvalue,
     peripheral_matrices,
@@ -23,12 +23,10 @@ from conetube.holonomy import (
 
 
 def _walk_to(x: complex, y: complex, steps: int = 10):
-    fam = RepresentationFamily()
+    rep = None
     for k in range(1, steps + 1):
         s = k / steps
-        rep = fam.representation(
-            BASE_X + s * (x - BASE_X), BASE_Y + s * (y - BASE_Y), commit=True
-        )
+        rep = continue_representation(BASE_X + s * (x - BASE_X), BASE_Y + s * (y - BASE_Y), rep)
     return rep
 
 
@@ -190,7 +188,9 @@ def test_stacked_representations_equal_rows():
         for name in ("alpha", "beta", "gamma"):
             assert np.abs(getattr(rep, name)[i] - getattr(one, name)).max() <= 1e-14
         # the stacked residuals are the residuals of each row's matrices
-        row = Representation(rep.x[i], rep.y[i], rep.z[i], rep.alpha[i], rep.beta[i], rep.gamma[i])
+        row = Representation(
+            rep.x[i], rep.y[i], rep.z[i], rep.z_squared[i], rep.alpha[i], rep.beta[i], rep.gamma[i]
+        )
         assert (r1[i], r2[i]) == relation_residuals(row)
         assert comm[i] == commutator_trace_minus2(row)
         assert (c1[i], c2[i]) == cusp_relation_residuals(row)
@@ -208,7 +208,7 @@ BAD_ROWS = {
     "non-finite": (_build_representation, (complex("nan"), BASE_Y, BASE_Z), ValueError),
     # one z step from the base anchor to y = 3 + 2i is too long
     "branch step": (
-        lambda x, y, z: RepresentationFamily().representation(x, y),
+        lambda x, y, z: continue_representation(x, y),
         (BASE_X, BASE_Y + 3.0, BASE_Z),
         HolonomyError,
     ),

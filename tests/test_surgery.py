@@ -19,13 +19,15 @@ from conetube import (
     solve_cone_structure,
     variable,
 )
-from conetube.holonomy import RepresentationFamily, cusp_relation_residuals, y_from_l2
+from conetube.holonomy import continue_representation, cusp_relation_residuals, y_from_l2
 from conetube.surgery import (
-    _ChartWalker,
-    _filled_base_walker,
+    _COMPLETE,
+    _continue_point,
     _coordinates,
+    _filled_base,
     _first_cusp_residual,
     _jacobian,
+    _newton,
     _pinned_meridian,
     _second_cusp_residual,
 )
@@ -185,6 +187,8 @@ def test_theta_zero_is_base_point():
     for z in st.point.shapes.as_tuple():
         assert abs(z - (0.5 + 0.5j)) < 1e-12
     assert st.theta == 0.0
+    # the written-out complete structure is the solved and continued base point
+    assert st.point == _continue_point(_COMPLETE, 0.5 + 0.5j, 0.5 + 0.5j)
 
 
 def test_theta_bounds():
@@ -216,13 +220,11 @@ def test_solved_point_satisfies_trace_relations():
     st = solve_cone_structure(Slope.make(9, 1), Slope.make(1, 0), 0.05)
     x = st.point.eigenvalues.m2
     y = y_from_l2(x, st.point.eigenvalues.l2)
-    fam = RepresentationFamily()
+    rep = None
     steps = 12
     for k in range(1, steps + 1):
         s = k / steps
-        rep = fam.representation(
-            -1 + s * (x + 1), 2j + s * (y - 2j), commit=True
-        )
+        rep = continue_representation(-1 + s * (x + 1), 2j + s * (y - 2j), rep)
     r1, r2 = cusp_relation_residuals(rep)
     assert max(r1, r2) < 1e-9
 
@@ -272,11 +274,11 @@ def test_filled_structure_near_chart_edge():
     assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
 
-def _central_jacobian(walker, residual, u, v, h=1e-6):
+def _central_jacobian(prev, residual, u, v, h=1e-6):
     """d(residual)/d(u, v) by central differences: the residuals are holomorphic."""
 
     def value(uu, vv):
-        x = _coordinates(walker.evaluate(uu, vv))
+        x = _coordinates(_continue_point(prev, uu, vv))
         return [form.value(x) for form in residual]
 
     du = [(a - b) / (2 * h) for a, b in zip(value(u + h, v), value(u - h, v))]
@@ -298,11 +300,11 @@ def test_exact_jacobian_matches_central_differences(residual):
     rng = np.random.default_rng(31)
     for _ in range(6):
         u, v = base + rng.uniform(-0.2, 0.2, 4).view(np.complex128)
-        walker = _ChartWalker()
-        for k in range(1, 9):  # commit anchors along the segment from the base
-            walker.commit(walker.evaluate(base + k / 8 * (u - base), base + k / 8 * (v - base)))
-        exact = np.array(_jacobian(residual, walker.evaluate(u, v)))
-        reference = _central_jacobian(walker, residual, u, v)
+        pt = _COMPLETE
+        for k in range(1, 9):  # continue the branches along the segment from the base
+            pt = _continue_point(pt, base + k / 8 * (u - base), base + k / 8 * (v - base))
+        exact = np.array(_jacobian(residual, pt))
+        reference = _central_jacobian(pt, residual, u, v)
         assert np.abs(exact - reference).max() <= 1e-7 * np.abs(reference).max()
 
 
@@ -320,6 +322,20 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     assert ev.l2 == complex(-0.5376870547896765, -0.2937397767883748)
 
 
+def test_each_chart_point_is_solved_and_continued_once(monkeypatch):
+    import conetube.surgery as surgery
+
+    solves, continued = [], []
+    solve, eigenvalues = surgery.solve_shapes, surgery.cusp_eigenvalues
+    monkeypatch.setattr(surgery, "solve_shapes", lambda *a: solves.append(1) or solve(*a))
+    monkeypatch.setattr(
+        surgery, "cusp_eigenvalues", lambda *a, **k: continued.append(1) or eigenvalues(*a, **k)
+    )
+    solve_cone_structure(None, Slope.make(1, 0), 0.5)
+    # one solve and one continuation per chart point that Newton visits
+    assert (len(solves), len(continued)) == (33, 33)
+
+
 REFUSED = {
     # one Newton step inside the chart, then a second whose branch step is too long
     "branch": (lambda first: (first, _second_cusp_residual(Slope.make(2, 1), 1.45)), GluingError),
@@ -329,12 +345,11 @@ REFUSED = {
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
-def test_refused_newton_leaves_the_walker_unchanged(case):
+def test_refused_newton_leaves_its_start_usable(case):
     make, error = REFUSED[case]
-    walker = _filled_base_walker(Slope.make(9, 1))
-    before = walker.clone()
+    first = _first_cusp_residual(Slope.make(9, 1), 1.0)
+    start = _filled_base(Slope.make(9, 1))
     with pytest.raises(error):
-        walker.newton(make(_first_cusp_residual(Slope.make(9, 1), 1.0)))
-    assert (walker.u, walker.v) == (before.u, before.v)
-    assert walker.anchors == before.anchors
-    assert walker.logs == before.logs
+        _newton(start, make(first))
+    accepted = (first, _second_cusp_residual(Slope.make(1, 0), 0.05))
+    assert _newton(start, accepted) == _newton(_filled_base(Slope.make(9, 1)), accepted)
