@@ -112,13 +112,14 @@ class Representation:
     gamma: np.ndarray
 
 
-def _build_representation(x, y, z_value) -> Representation:
-    """Assemble matrices at (x, y) with an explicitly chosen branch of z."""
-    x, y, z = np.broadcast_arrays(*(np.asarray(e, dtype=complex) for e in (x, y, z_value)))
+def _build_representation(x, y, z_value, radicand: tuple) -> Representation:
+    """Assemble matrices at (x, y) with z_value, a chosen branch of radicand = (w, z^2)."""
+    x, y, z, w, z2 = np.broadcast_arrays(
+        *(np.asarray(e, dtype=complex) for e in (x, y, z_value, *radicand))
+    )
     for e in (x, y, z):
         _refuse(~np.isfinite(e), ValueError, lambda i: f"non-finite value {complex(e[i])!r}")
     _refuse(x == 0, HolonomyError, lambda i: "x = 0 is outside the family")
-    w, z2 = _z_radicand(x, y)
     _refuse(
         abs(z * z - z2) > TOLERANCES.branch_match * np.maximum(1.0, abs(z2)),
         HolonomyError,
@@ -144,7 +145,7 @@ def continue_representation(x, y, previous: Representation | None = None) -> Rep
     Each row of a batch continues from its own row of ``previous``; the base
     broadcasts over any batch.
     """
-    _, z2 = _z_radicand(x, y)
+    w, z2 = _z_radicand(x, y)
     anchor = (BASE_Z_SQUARED, BASE_Z) if previous is None else (previous.z_squared, previous.z)
     try:
         z = continue_sqrt(np.asarray(z2), *anchor)
@@ -152,11 +153,11 @@ def continue_representation(x, y, previous: Representation | None = None) -> Rep
         lost = HolonomyError(f"z branch lost: {exc}")
         lost.row, lost.reason = exc.row, f"z branch lost: {exc.reason}"
         raise lost from exc
-    return _build_representation(x, y, z)
+    return _build_representation(x, y, z, (w, z2))
 
 
 def base_representation() -> Representation:
-    return _build_representation(BASE_X, BASE_Y, BASE_Z)
+    return _build_representation(BASE_X, BASE_Y, BASE_Z, _z_radicand(BASE_X, BASE_Y))
 
 
 def _max_norm(m: np.ndarray) -> np.ndarray:

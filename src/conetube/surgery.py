@@ -19,12 +19,12 @@ samplers used for the convergence experiment.
 Each relation is affine in (m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)),
 so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
 those six quantities (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
-A parameter (the first cusp's 2 pi i target, then theta) is continued with
-a step that doubles after each accepted Newton solve and halves after each
-refused one. A walk's whole state is its last accepted ``VarietyPoint``,
-which carries the anchors of every square root and log: each Newton
-iterate is continued from that point, so a refused step leaves nothing to
-undo. The complete structure ``_COMPLETE`` starts every walk.
+A parameter (the first cusp's 2 pi i target, then theta) is continued
+from 0 in one step to its target, halved after a refused Newton solve and
+doubled after an accepted one. A walk's whole state is its last accepted
+``VarietyPoint``, which carries the anchors of every square root and log:
+Newton starts at that point and continues each later iterate from it, so a
+refused step leaves nothing to undo. ``_COMPLETE`` starts every walk.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ from .jets import BranchError, Jet, JetError, compose, continue_log, jet_log, re
 
 THETA_MAX = 0.5
 MIN_FILLED_NORM = 8
-_THETA_STEP = 0.01
 _THETA_STEP_MIN = 1e-4
-_TAU_STEP = 0.25
 _TAU_STEP_MIN = 1.0 / 256.0
 _NEWTON_MAX_ITER = 25
 _FLOAT_MAX = int(sys.float_info.max)  # an int compares faster than a float
@@ -314,8 +312,8 @@ def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
     u, v = start.u, start.v
     tol = TOLERANCES.newton
     polish = False
-    for _ in range(_NEWTON_MAX_ITER):
-        pt = _continue_point(start, u, v)
+    for k in range(_NEWTON_MAX_ITER):
+        pt = _continue_point(start, u, v) if k else start
         x = _coordinates(pt)
         f1, f2 = residual[0].value(x), residual[1].value(x)
         if polish or max(abs(f1), abs(f2)) < tol:
@@ -342,23 +340,24 @@ def _continue_parameter(
     start: VarietyPoint,
     make_residual: Callable[[float], _Residual],
     target: float,
-    step: float,
     min_step: float,
+    name: str,
 ) -> VarietyPoint:
-    """March a scalar parameter from 0 at start to target; the last accepted point.
+    """March the parameter ``name`` from 0 at start to target; the last accepted point.
 
-    The step doubles after each accepted Newton solve and halves after each
-    refused one; below min_step the refusal is raised.
+    The first step is the whole range; it halves after each refused Newton
+    solve and doubles after each accepted one. Below min_step the refusal is
+    raised again, its type kept, naming the parameter reached.
     """
-    t, pt = 0.0, start
+    t, pt, step = 0.0, start, target
     while t < target:
         nxt = min(target, t + step)
         try:
             pt = _newton(pt, make_residual(nxt))
-        except (SurgeryError, GluingError):
+        except (SurgeryError, GluingError) as exc:
             step /= 2.0
             if step < min_step:
-                raise
+                raise type(exc)(f"{name} {t:g} of {target:g} reached: {exc}") from exc
             continue
         t = nxt
         step *= 2.0
@@ -371,7 +370,7 @@ def _filled_base(slope1: Slope) -> VarietyPoint:
     def residual_at(tau: float) -> _Residual:
         return _first_cusp_residual(slope1, tau), _pinned_meridian(0.0)
 
-    return _continue_parameter(_COMPLETE, residual_at, 1.0, _TAU_STEP, _TAU_STEP_MIN)
+    return _continue_parameter(_COMPLETE, residual_at, 1.0, _TAU_STEP_MIN, "tau")
 
 
 def solve_cone_structure(
@@ -382,7 +381,7 @@ def solve_cone_structure(
     slope1 None leaves the first cusp complete (m1 = -1); otherwise the
     first cusp carries the 2*pi relation p1 log(-m1) + q1 log(-l1) = pi i.
     Reached by continuation: first in the first-cusp relation, then in
-    theta, each with a step that doubles on success and halves on failure.
+    theta, each tried in one step that halves on failure and doubles on success.
     """
     theta = float(theta)
     if not 0.0 <= theta <= THETA_MAX:
@@ -393,7 +392,7 @@ def solve_cone_structure(
     def residual_at(th: float) -> _Residual:
         return first, _second_cusp_residual(slope2, th)
 
-    pt = _continue_parameter(start, residual_at, theta, _THETA_STEP, _THETA_STEP_MIN)
+    pt = _continue_parameter(start, residual_at, theta, _THETA_STEP_MIN, "theta")
     if theta == 0.0 and slope1 is not None:
         pt = _newton(pt, residual_at(0.0))
     structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)

@@ -2,11 +2,11 @@
 
 Each oracle computes a quantity the library also computes, by a different
 route: the second printed form of the cusp eigenvalues, the printed trace
-display of the tube radius, branch continuation along a whole path, and
-the hyperbolic distance between two geodesics from their cross-ratio with
+display of the tube radius, branch continuation along a whole path, the
+hyperbolic distance between two geodesics from their cross-ratio with
 the tube radius as half the distance from the core axis to its tied
-translate (criterion 10's geometry oracle). None of them is used by the
-library.
+translate (criterion 10's geometry oracle), and a cone structure reached
+by small continuation steps. None of them is used by the library.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from conetube.config import TOLERANCES
 from conetube.gluing import (
     BranchAnchors,
     CuspEigenvalues,
@@ -26,6 +27,17 @@ from conetube.gluing import (
 )
 from conetube.holonomy import continue_representation, y_from_l2
 from conetube.jets import BranchError, continue_log, continue_sqrt
+from conetube.surgery import (
+    _COMPLETE,
+    _TAU_STEP_MIN,
+    _THETA_STEP_MIN,
+    SolvedStructure,
+    SurgeryError,
+    _first_cusp_residual,
+    _newton,
+    _pinned_meridian,
+    _second_cusp_residual,
+)
 from conetube.tube import TubeError
 
 # ---------------------------------------------------------------------------
@@ -205,3 +217,54 @@ def _axis_distance_R(structure):
     e1 = b / d
     e2 = a / c
     return 0.5 * line_distance(0, INFINITY, e1, e2), complex(b * c)
+
+
+# ---------------------------------------------------------------------------
+# cone structures
+
+
+def _small_step_walk(start, make_residual, target: float, step: float, min_step: float):
+    """March a parameter from 0 to target from a small first step.
+
+    The step doubles after each accepted Newton solve and halves after each
+    refused one; below min_step the refusal is raised unchanged.
+    """
+    t, pt = 0.0, start
+    while t < target:
+        nxt = min(target, t + step)
+        try:
+            pt = _newton(pt, make_residual(nxt))
+        except (SurgeryError, GluingError):
+            step /= 2.0
+            if step < min_step:
+                raise
+            continue
+        t = nxt
+        step *= 2.0
+    return pt
+
+
+def small_step_cone_structure(slope1, slope2, theta: float) -> SolvedStructure:
+    """``solve_cone_structure`` at theta > 0 by small steps: tau from 0.25, theta from 0.01.
+
+    The same relations, Newton and guards as the library, on a path of many
+    short steps where the library tries each whole range in one.
+    """
+    start = _COMPLETE
+    if slope1 is not None:
+        start = _small_step_walk(
+            _COMPLETE,
+            lambda tau: (_first_cusp_residual(slope1, tau), _pinned_meridian(0.0)),
+            1.0, 0.25, _TAU_STEP_MIN,
+        )
+    first = _first_cusp_residual(slope1, 1.0)
+
+    def residual_at(th: float):
+        return first, _second_cusp_residual(slope2, th)
+
+    pt = _small_step_walk(start, residual_at, theta, 0.01, _THETA_STEP_MIN)
+    structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)
+    r1, r2 = structure.filling_residuals()
+    if max(abs(r1), abs(r2)) > TOLERANCES.filling_residual:
+        raise SurgeryError(f"filling residuals {(r1, r2)!r} above {TOLERANCES.filling_residual}")
+    return structure

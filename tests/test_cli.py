@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -115,6 +116,14 @@ def test_tube_csv(capsys):
     record = dict(zip(rows[0], rows[1]))
     assert float(record["mu_hat_sq"]) == pytest.approx(0.5, abs=5e-3)
     assert float(record["theta"]) == 0.05
+
+
+def test_a_refused_tube_names_the_theta_reached(capsys):
+    code, out, err = run(
+        capsys, "tube", "--p1", "9", "--q1", "1", "--p2", "1", "--q2", "0", "--theta", "0.5"
+    )
+    assert (code, out) == (2, "")
+    assert re.match(r"conetube: theta 0\.3\d* of 0\.5 reached: chart coordinate ", err), err
 
 
 def test_verify_passes(capsys):

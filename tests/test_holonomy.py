@@ -67,11 +67,11 @@ def test_relations_hold_on_family():
 
 
 def test_wrong_z_branch_rejected():
-    w, z2 = _z_radicand(BASE_X, BASE_Y)
+    radicand = _z_radicand(BASE_X, BASE_Y)
     with pytest.raises(HolonomyError):
-        _build_representation(BASE_X, BASE_Y, 1.1 * BASE_Z)
+        _build_representation(BASE_X, BASE_Y, 1.1 * BASE_Z, radicand)
     # the other sqrt branch is a valid value for the radicand
-    _build_representation(BASE_X, BASE_Y, -BASE_Z)
+    _build_representation(BASE_X, BASE_Y, -BASE_Z, radicand)
 
 
 def test_second_longitude_upper_triangular():
@@ -199,13 +199,19 @@ def test_stacked_representations_equal_rows():
     assert np.abs(comm + y).max() < 1e-12
 
 
+def _build(x, y, z):
+    with np.errstate(invalid="ignore"):  # a non-finite row's radicand is nan
+        radicand = _z_radicand(x, y)
+    return _build_representation(x, y, z, radicand)
+
+
 BAD_ROWS = {
     # name: (operation on (x, y, z), bad point, error type); good rows
     # are the base point
     "w = 0": (lambda x, y, z: _z_radicand(x, y), (2.0, 0.75, BASE_Z), HolonomyError),
-    "x = 0": (_build_representation, (0.0, BASE_Y, BASE_Z), HolonomyError),
-    "z value": (_build_representation, (BASE_X, BASE_Y, 1.1 * BASE_Z), HolonomyError),
-    "non-finite": (_build_representation, (complex("nan"), BASE_Y, BASE_Z), ValueError),
+    "x = 0": (_build, (0.0, BASE_Y, BASE_Z), HolonomyError),
+    "z value": (_build, (BASE_X, BASE_Y, 1.1 * BASE_Z), HolonomyError),
+    "non-finite": (_build, (complex("nan"), BASE_Y, BASE_Z), ValueError),
     # one z step from the base anchor to y = 3 + 2i is too long
     "branch step": (
         lambda x, y, z: continue_representation(x, y),

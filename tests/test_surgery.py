@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conetube import (
     expand_from_samples,
     filled_curve_sampler,
     jet_log,
+    measure_tube,
     solve_cone_structure,
     variable,
 )
@@ -32,6 +34,7 @@ from conetube.surgery import (
     _second_cusp_residual,
 )
 from tests.conftest import A1, A2, A3
+from tests.oracles import small_step_cone_structure
 
 
 def cone_derivatives_general(curve: GeometricCurve, slope: Slope):
@@ -315,11 +318,15 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     solve = surgery.solve_shapes
     monkeypatch.setattr(surgery, "solve_shapes", lambda u, v: calls.append(1) or solve(u, v))
     structure = solve_cone_structure(None, Slope.make(1, 0), 0.5)
-    # 40 solves when each accepted Newton point was solved a second time
-    assert len(calls) <= 34
+    # 40 solves when each accepted Newton point was solved a second time, and
+    # 33 when each solve re-solved its start and theta began at a step of 0.01
+    assert len(calls) <= 11
     ev = structure.point.eigenvalues
-    assert ev.m2 == complex(-0.9689124217106448, -0.24740395925452285)
-    assert ev.l2 == complex(-0.5376870547896765, -0.2937397767883748)
+    assert ev.m2 == complex(-0.9689124217106447, -0.24740395925452288)
+    assert ev.l2 == complex(-0.5376870547896763, -0.29373977678837476)
+    # the small-step walk's bits, a different path to the same point
+    assert abs(ev.m2 - complex(-0.9689124217106448, -0.24740395925452285)) <= 4.5e-16
+    assert abs(ev.l2 - complex(-0.5376870547896765, -0.2937397767883748)) <= 4.5e-16
 
 
 def test_each_chart_point_is_solved_and_continued_once(monkeypatch):
@@ -332,8 +339,10 @@ def test_each_chart_point_is_solved_and_continued_once(monkeypatch):
         surgery, "cusp_eigenvalues", lambda *a, **k: continued.append(1) or eigenvalues(*a, **k)
     )
     solve_cone_structure(None, Slope.make(1, 0), 0.5)
-    # one solve and one continuation per chart point that Newton visits
-    assert (len(solves), len(continued)) == (33, 33)
+    # one solve and one continuation per chart point that Newton visits past
+    # its start: the step to 0.5 is refused at its first point, then 0.25 and
+    # 0.5 take five each
+    assert (len(solves), len(continued)) == (11, 11)
 
 
 REFUSED = {
@@ -353,3 +362,43 @@ def test_refused_newton_leaves_its_start_usable(case):
         _newton(start, make(first))
     accepted = (first, _second_cusp_residual(Slope.make(1, 0), 0.05))
     assert _newton(start, accepted) == _newton(_filled_base(Slope.make(9, 1)), accepted)
+
+
+# slope2 of norm <= 4, one per slope
+GRID_SLOPES2 = [(1, 0)] + [
+    (p, q) for q in range(1, 5) for p in range(q - 4, 5 - q) if math.gcd(p, q) == 1
+]
+
+
+def _outcome(solve, slope1, slope2, theta):
+    """(tube measurement, eigenvalues) of a solve, or the refusal it raised."""
+    try:
+        structure = solve(slope1, slope2, theta)
+    except (SurgeryError, GluingError) as exc:
+        return exc
+    return measure_tube(structure), structure.point.eigenvalues
+
+
+@pytest.mark.parametrize("slope1", [None, (9, 1), (-7, 2), (12, 5), (3, 1)], ids=str)
+def test_one_step_continuation_matches_the_small_step_walk(slope1):
+    s1 = None if slope1 is None else Slope.make(*slope1)
+    for slope2 in map(Slope.make, *zip(*GRID_SLOPES2)):
+        for theta in (0.05, 0.25, 0.5):
+            got = _outcome(solve_cone_structure, s1, slope2, theta)
+            want = _outcome(small_step_cone_structure, s1, slope2, theta)
+            case = (slope1, (slope2.p, slope2.q), theta)
+            if slope1 == (3, 1):  # a chart refusal of the filled base
+                assert isinstance(want, GluingError) and str(got).startswith("tau "), case
+            if isinstance(want, Exception):
+                assert type(got) is type(want), case
+                # the library names the parameter its walk reached
+                reached = re.fullmatch(r"(tau|theta) \S+ of \S+ reached: (.*)", str(got))
+                assert reached and reached[2] == str(want), case
+                continue
+            assert not isinstance(got, Exception), (case, got)
+            (tube, ev), (tube_ref, ev_ref) = got, want
+            for x, ref in (
+                (ev.m2, ev_ref.m2), (ev.l2, ev_ref.l2), (tube.mu_hat_sq, tube_ref.mu_hat_sq),
+                (tube.R, tube_ref.R), (tube.t, tube_ref.t),
+            ):
+                assert abs(x - ref) <= 1e-10 * abs(ref), case
