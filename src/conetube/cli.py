@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -108,6 +109,12 @@ def _output_stream(args):
         yield sys.stdout
 
 
+def _write_csv(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 def _write(args, payload: dict, header: list[str], rows: list[list]) -> None:
     """Serialize straight to the output stream; no whole-text copy is built."""
     with _output_stream(args) as fh:
@@ -115,10 +122,7 @@ def _write(args, payload: dict, header: list[str], rows: list[list]) -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         else:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
+            _write_csv(fh, header, rows)
 
 
 def _slope_or_exit(parser: _Parser, p: int, q: int, which: str) -> Slope:
@@ -289,36 +293,62 @@ def cmd_kcoeffs(args, parser: _Parser) -> int:
     return 0
 
 
-def _coprime_slopes(max_norm: int) -> list[tuple[int, int]]:
-    out = [(1, 0)]
-    for q in range(1, max_norm + 1):
-        for p in range(-(max_norm - q), max_norm - q + 1):
-            if math.gcd(p, q) == 1:
-                out.append((p, q))
-    return sorted(out)
+def _coprime_slopes(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) integer columns of the coprime slopes with |p| + q <= max_norm.
+
+    One slope per line through the origin: q > 0, or (1, 0). One ``np.gcd``
+    over the box |p| <= max_norm, 0 <= q <= max_norm picks them, and the
+    box's row-major order sorts them by p, then q.
+    """
+    p = np.arange(-max_norm, max_norm + 1)[:, None]
+    q = np.arange(max_norm + 1)
+    keep = (np.abs(p) + q <= max_norm) & (np.gcd(p, q) == 1) & ((q > 0) | (p == 1))
+    row, col = np.nonzero(keep)
+    return row - max_norm, col
+
+
+# one k1scan entry laid out as json.dump(payload, indent=2) lays it out:
+# %d is json's int text, and %r its float text for a finite float (every
+# Jet is checked finite)
+_K1SCAN_ENTRY = '    {\n      "p2": %d,\n      "q2": %d,\n      "k0": %r,\n      "k1": %r\n    }'
+# k1scan entries formatted per write: bounds the text held at once
+_K1SCAN_WRITE_BLOCK = 1024
+
+
+def _write_k1scan(args, head: dict, columns: tuple[list, ...], tail: dict) -> None:
+    """Write ``head``, an "entries" list with one entry per row of ``columns``, then ``tail``.
+
+    The same bytes as ``_write`` of the payload with its entries as dicts:
+    ``json`` lays out the head and the tail, and ``_K1SCAN_ENTRY`` every entry.
+    """
+    rows = zip(*columns)
+    with _output_stream(args) as fh:
+        if args.format == "csv":
+            _write_csv(fh, ["p2", "q2", "k0", "k1"], rows)
+            return
+        # head and tail are non-empty objects: drop the head's closing
+        # "\n}" and the tail's opening "{\n"
+        fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "entries": [\n')
+        for start in range(0, len(columns[0]), _K1SCAN_WRITE_BLOCK):
+            block = itertools.islice(rows, _K1SCAN_WRITE_BLOCK)
+            fh.write((",\n" if start else "") + ",\n".join(map(_K1SCAN_ENTRY.__mod__, block)))
+        fh.write("\n  ],\n" + json.dumps(tail, indent=2)[2:] + "\n")
 
 
 def cmd_k1scan(args, parser: _Parser) -> int:
     if args.max < 1:
         parser.error("--max must be at least 1")
     curve, method, slope1 = _curve_for(args, parser)
-    slopes = [Slope.make(p, q) for p, q in _coprime_slopes(args.max)]
-    entries = [
-        {"p2": k.slope2.p, "q2": k.slope2.q, "k0": k.k0, "k1": k.k1}
-        for k in k_expansions(curve.symmetrized(), slopes)
-    ]
-    payload = {
+    p, q = _coprime_slopes(args.max)
+    k0, k1 = k_expansions(curve.symmetrized(), p, q)
+    columns = (p.tolist(), q.tolist(), k0.tolist(), k1.tolist())
+    head = {
         "command": "k1scan",
         "curve_method": method,
         "slope1": _slope_echo(slope1),
         "max_norm": args.max,
-        "entries": entries,
-        "k1_min": min(e["k1"] for e in entries),
-        "k1_max": max(e["k1"] for e in entries),
     }
-    header = ["p2", "q2", "k0", "k1"]
-    rows = [[e["p2"], e["q2"], e["k0"], e["k1"]] for e in entries]
-    _write(args, payload, header, rows)
+    _write_k1scan(args, head, columns, {"k1_min": min(columns[3]), "k1_max": max(columns[3])})
     return 0
 
 

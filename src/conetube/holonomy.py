@@ -92,7 +92,9 @@ def sl2_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def _z_radicand(x, y) -> tuple:
-    """Return (w, z^2) at the parameters (x, y)."""
+    """Return (w, z^2) at the parameters (x, y), refusing a non-finite x or y first."""
+    for e in np.broadcast_arrays(x, y):
+        _refuse(~np.isfinite(e), ValueError, lambda i: f"non-finite value {complex(e[i])!r}")
     x2 = x * x
     w = (x2 * y - x2 + 1.0) * (x2 * y + (x2 - 1.0) ** 2)
     _refuse(w == 0, HolonomyError, lambda i: "family is singular here (w = 0)")
@@ -117,8 +119,7 @@ def _build_representation(x, y, z_value, radicand: tuple) -> Representation:
     x, y, z, w, z2 = np.broadcast_arrays(
         *(np.asarray(e, dtype=complex) for e in (x, y, z_value, *radicand))
     )
-    for e in (x, y, z):
-        _refuse(~np.isfinite(e), ValueError, lambda i: f"non-finite value {complex(e[i])!r}")
+    _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
     _refuse(x == 0, HolonomyError, lambda i: "x = 0 is outside the family")
     _refuse(
         abs(z * z - z2) > TOLERANCES.branch_match * np.maximum(1.0, abs(z2)),

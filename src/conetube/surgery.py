@@ -153,9 +153,7 @@ class CurveJets:
         return cls(curve=curve, dl=dl, logs=logs)
 
 
-def cone_expansion(
-    curve: GeometricCurve | CurveJets, slope: Slope | Sequence[Slope]
-) -> ConeExpansion:
+def cone_expansion(curve: GeometricCurve, slope: Slope | Sequence[Slope]) -> ConeExpansion:
     """Jets of m2, l2 and the core-length K in theta, by series reversion.
 
     The filling relation p log(-m) + q log(-l(m)) = i theta / 2 is a series
@@ -166,21 +164,40 @@ def cone_expansion(
 
     Requires the involution-constrained curve (a2 = a1 - a1^2) at
     (-1, -1). Given a sequence of slopes the jets carry one row per slope,
-    in order. A slope with |p| + |q| above ``MAX_CONE_NORM`` is refused by a
-    ``JetError``, which names its row in a batch.
+    in order. The jets come from ``cone_jets``, which refuses a slope with
+    |p| + |q| above ``MAX_CONE_NORM``.
     """
-    jets = curve if isinstance(curve, CurveJets) else CurveJets.of(curve)
+    jets = CurveJets.of(curve)
     single = isinstance(slope, Slope)
     batch = (slope,) if single else tuple(slope)
     p, q = np.array([(x.p, x.q) for x in batch], dtype=float).reshape(-1, 2).T
+    m_jet, l_jet, core_jet = cone_jets(jets, p[0], q[0]) if single else cone_jets(jets, p, q)
+    return ConeExpansion(
+        curve=jets.curve,
+        slope=slope if single else batch,
+        m_jet=m_jet,
+        l_jet=l_jet,
+        core_jet=core_jet,
+    )
+
+
+def cone_jets(jets: CurveJets, p, q) -> tuple[Jet, Jet, Jet]:
+    """The theta-jets (m2, l2, K) of ``cone_expansion`` for float slope columns.
+
+    ``p`` and ``q`` are float arrays, one row per slope, or two floats for
+    one unbatched slope; no ``Slope`` is built, so a scan reads its columns
+    straight in. A slope with |p| + |q| above ``MAX_CONE_NORM`` is refused
+    by a ``JetError``, which names its row in a batch.
+    """
     big = np.abs(p) > MAX_CONE_NORM - np.abs(q)  # |p| + |q| may overflow
     if big.any():
         raise JetError(
             f"|p| + |q| above {MAX_CONE_NORM:.0e}, where the theta-jets underflow",
-            None if single else int(np.argmax(big)),
+            int(np.argmax(big)) if big.ndim else None,
         )
-    # one row per slope: p and q as columns against the dm coefficients
-    p, q = (p[0], q[0]) if single else (p[:, None], q[:, None])
+    if big.ndim:
+        # one row per slope: p and q as columns against the dm coefficients
+        p, q = p[:, None], q[:, None]
     log_m, log_l = jets.logs.coeffs
     inverse = reversion(Jet(p * log_m + q * log_l, "dm"))  # dm in terms of the relation
     dm = Jet(inverse.coeffs * 0.5j ** np.arange(inverse.order + 1), "theta")  # at i theta / 2
@@ -189,13 +206,7 @@ def cone_expansion(
     outer = np.empty((2,) + dual_free.shape, dtype=complex)
     outer[0], outer[1] = jets.dl.coeffs, dual_free
     dl, core = compose(Jet(outer, "dm"), dm).coeffs
-    return ConeExpansion(
-        curve=jets.curve,
-        slope=slope if single else batch,
-        m_jet=dm - 1.0,
-        l_jet=Jet(dl, "theta") - 1.0,
-        core_jet=Jet(core.real / (p * p + q * q), "theta"),
-    )
+    return dm - 1.0, Jet(dl, "theta") - 1.0, Jet(core.real / (p * p + q * q), "theta")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -33,11 +33,11 @@ from .curves import GeometricCurve
 from .holonomy import y_from_l2
 from .jets import Jet, JetError, jet_sqrt, real_modulus_jet
 from .surgery import (
-    ConeExpansion,
     CurveJets,
     Slope,
     SolvedStructure,
-    cone_expansion,
+    SurgeryError,
+    cone_jets,
     solve_cone_structure,
 )
 
@@ -121,15 +121,14 @@ class KExpansion:
 _SCAN_BLOCK = 256
 
 
-def _mu_hat_sq_jet(ce: ConeExpansion) -> Jet:
-    """Jet of mu_hat^2 in theta, one row per slope of the cone expansion.
+def _mu_hat_sq_jet(m: Jet, l: Jet, core: Jet) -> Jet:
+    """Jet of mu_hat^2 in theta, one row per slope, from the jets of ``cone_jets``.
 
     Every absolute value is expanded with its leading theta-power factored
     explicitly (the commutator trace and its denominator both vanish to
     first order), or is a square's: |tr^2 g - 4| = |m - 1/m|^2. No
     precomputed expansion constants enter.
     """
-    m, l = ce.m_jet, ce.l_jet
     mm = m * m
     num = (mm - 1.0) * (1.0 - l)
     den = mm + l
@@ -145,44 +144,54 @@ def _mu_hat_sq_jet(ce: ConeExpansion) -> Jet:
     tanh_r = jet_sqrt(tanh_sq, 1.0)
 
     # t = 2|K| and K vanishes at theta = 0, so t / theta = 2 sign(K_1) K / theta
-    k_over_theta = ce.core_jet.shift_down(1)
+    k_over_theta = core.shift_down(1)
     t_hat = k_over_theta * (2.0 * np.sign(k_over_theta[0].real))
     return tanh_r / t_hat
 
 
-def k_expansions(curve: GeometricCurve, slopes: Sequence[Slope]) -> list[KExpansion]:
-    """(k0, k1) for each slope, by batched jet expansion on the curve.
+def k_expansions(
+    curve: GeometricCurve, p: Sequence[int], q: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k0, k1) float columns for the slopes (p[i], q[i]), by batched jet expansion.
 
-    The slopes are expanded in blocks of ``_SCAN_BLOCK``, each block as one
-    batch of jets. A guard that refuses any row refuses the scan, with the
-    guard's exception type and the slope of the first failing row.
+    ``p`` and ``q`` are integer columns (lists or integer arrays) of coprime
+    slopes within float range. No ``Slope`` or ``KExpansion`` is built: the
+    columns go to ``cone_jets`` as floats, in blocks of ``_SCAN_BLOCK``,
+    each block as one batch of jets. A guard that refuses any row refuses
+    the scan, with the guard's exception type and the exact integers of
+    the first failing slope.
     """
-    slopes = list(slopes)
-    out: list[KExpansion] = []
+    if len(p) != len(q):
+        raise TubeError(f"{len(p)} numerators against {len(q)} denominators")
+    # a list may mix int64- and uint64-sized ints, which np.gcd cannot pair
+    p, q = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in (p, q))
+    pf, qf = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    k0, k1 = np.empty(len(pf)), np.empty(len(pf))
     jets = CurveJets.of(curve)
-    for start in range(0, len(slopes), _SCAN_BLOCK):
-        block = slopes[start : start + _SCAN_BLOCK]
+    for start in range(0, len(pf), _SCAN_BLOCK):
+        rows = slice(start, start + _SCAN_BLOCK)
+        shared = np.gcd(p[rows], q[rows]) != 1
+        if shared.any():
+            i = start + int(np.argmax(shared))
+            raise SurgeryError(f"slope ({p[i]}, {q[i]}) is not coprime")
         try:
-            mu_hat_sq = _mu_hat_sq_jet(cone_expansion(jets, block))
+            mu_hat_sq = _mu_hat_sq_jet(*cone_jets(jets, pf[rows], qf[rows]))
         except JetError as exc:
             if exc.row is None:
                 raise
-            bad = block[exc.row]
-            raise type(exc)(f"slope ({bad.p}, {bad.q}): {exc.reason}") from exc
+            i = start + exc.row
+            raise type(exc)(f"slope ({p[i]}, {q[i]}): {exc.reason}") from exc
         c = mu_hat_sq.coeffs
         stray = np.maximum(np.abs(c[:, 1]), mu_hat_sq.imag_max())
         loud = stray > TOLERANCES.vanishing * np.maximum(1.0, np.abs(c[:, 0]))
         if loud.any():
             i = int(np.argmax(loud))
             raise TubeError(
-                f"slope ({block[i].p}, {block[i].q}): mu_hat^2 jet has stray "
+                f"slope ({p[start + i]}, {q[start + i]}): mu_hat^2 jet has stray "
                 f"odd/imaginary part {stray[i]:.3e}"
             )
-        out.extend(
-            KExpansion(k0=k0, k1=k1, slope2=sl, source="numeric-jet")
-            for k0, k1, sl in zip(c[:, 0].real.tolist(), c[:, 2].real.tolist(), block)
-        )
-    return out
+        k0[rows], k1[rows] = c[:, 0].real, c[:, 2].real
+    return k0, k1
 
 
 def k_expansion_closed_form(curve: GeometricCurve, slope2: Slope) -> KExpansion:
@@ -190,7 +199,8 @@ def k_expansion_closed_form(curve: GeometricCurve, slope2: Slope) -> KExpansion:
 
     The one-slope case of ``k_expansions``.
     """
-    return k_expansions(curve, [slope2])[0]
+    k0, k1 = k_expansions(curve, [slope2.p], [slope2.q])
+    return KExpansion(k0=float(k0[0]), k1=float(k1[0]), slope2=slope2, source="numeric-jet")
 
 
 def whitehead_k_reference(slope2: Slope) -> KExpansion:

@@ -5,8 +5,9 @@ route: the second printed form of the cusp eigenvalues, the printed trace
 display of the tube radius, branch continuation along a whole path, the
 hyperbolic distance between two geodesics from their cross-ratio with
 the tube radius as half the distance from the core axis to its tied
-translate (criterion 10's geometry oracle), and a cone structure reached
-by small continuation steps. None of them is used by the library.
+translate (criterion 10's geometry oracle), a cone structure reached
+by small continuation steps, and the k1scan slopes listed pair by pair.
+None of them is used by the library.
 """
 
 from __future__ import annotations
@@ -268,3 +269,17 @@ def small_step_cone_structure(slope1, slope2, theta: float) -> SolvedStructure:
     if max(abs(r1), abs(r2)) > TOLERANCES.filling_residual:
         raise SurgeryError(f"filling residuals {(r1, r2)!r} above {TOLERANCES.filling_residual}")
     return structure
+
+
+# ---------------------------------------------------------------------------
+# slope scans
+
+
+def coprime_slope_pairs(max_norm: int) -> list[tuple[int, int]]:
+    """The coprime (p, q), q > 0 or (1, 0), with |p| + q <= max_norm, sorted: one gcd per pair."""
+    out = [(1, 0)]
+    for q in range(1, max_norm + 1):
+        for p in range(-(max_norm - q), max_norm - q + 1):
+            if math.gcd(p, q) == 1:
+                out.append((p, q))
+    return sorted(out)

@@ -11,9 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conetube import TOLERANCES, Slope, whitehead_k_reference
+from conetube import (
+    TOLERANCES,
+    Slope,
+    expand_from_samples,
+    filled_curve_sampler,
+    k_expansions,
+    whitehead_k_reference,
+)
 from conetube import cli
 from conetube.cli import main
+from tests.oracles import coprime_slope_pairs
 
 
 def run(capsys, *argv):
@@ -349,30 +357,66 @@ def test_converge_table(capsys):
     assert payload["rows"][0]["err_a1"] < 0.5
 
 
-def _write_whole_text(args, payload, header, rows):
-    """Reference writer: builds the whole text in memory, then writes it once."""
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+def _k1scan_reference(max_norm: int, slope1: Slope | None, fmt: str) -> bytes:
+    """k1scan's output, built as one dict per entry and serialized by json or csv whole."""
+    if slope1 is None:
+        curve, method, echo = cli._builtin_curve(), "polynomial", None
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([cli._cell(v) for v in row])
-        text = buf.getvalue()
-    with open(args.output, "w", newline="") as fh:
-        fh.write(text)
+        curve = expand_from_samples(filled_curve_sampler(slope1), -1, -1)
+        method, echo = "sampled", {"p": slope1.p, "q": slope1.q, "r": slope1.r, "s": slope1.s}
+    p, q = zip(*coprime_slope_pairs(max_norm))
+    k0, k1 = k_expansions(curve.symmetrized(), list(p), list(q))
+    entries = [
+        {"p2": a, "q2": b, "k0": c, "k1": d} for a, b, c, d in zip(p, q, k0.tolist(), k1.tolist())
+    ]
+    if fmt == "json":
+        payload = {
+            "command": "k1scan",
+            "curve_method": method,
+            "slope1": echo,
+            "max_norm": max_norm,
+            "entries": entries,
+            "k1_min": min(e["k1"] for e in entries),
+            "k1_max": max(e["k1"] for e in entries),
+        }
+        return (json.dumps(payload, indent=2) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["p2", "q2", "k0", "k1"])
+    for e in entries:
+        writer.writerow([cli._cell(v) for v in e.values()])
+    return buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_streamed_output_is_byte_identical(tmp_path, monkeypatch, capsys, fmt):
-    streamed, whole = tmp_path / "streamed", tmp_path / "whole"
-    argv = ["k1scan", "--max", "8", "--format", fmt]
-    assert main(argv + ["--output", str(streamed)]) == 0
-    monkeypatch.setattr(cli, "_write", _write_whole_text)
-    assert main(argv + ["--output", str(whole)]) == 0
-    assert streamed.read_bytes() == whole.read_bytes()
-    assert len(streamed.read_bytes()) > 1000
+def test_streamed_output_is_byte_identical(tmp_path, fmt):
+    target = tmp_path / "scan"
+    for max_norm, slope1 in [(1, None), (8, None), (60, None), (12, (40, 1))]:
+        argv = ["k1scan", "--max", str(max_norm), "--format", fmt, "--output", str(target)]
+        if slope1 is not None:
+            argv += ["--p1", str(slope1[0]), "--q1", str(slope1[1])]
+            slope1 = Slope.make(*slope1)
+        assert main(argv) == 0
+        assert target.read_bytes() == _k1scan_reference(max_norm, slope1, fmt), max_norm
+
+
+def test_coprime_slope_columns_equal_the_pair_loop():
+    for max_norm in range(1, 81):
+        p, q = cli._coprime_slopes(max_norm)
+        assert list(zip(p.tolist(), q.tolist())) == coprime_slope_pairs(max_norm)
+
+
+def test_k1scan_builds_no_slope_per_scanned_slope(tmp_path, monkeypatch):
+    made = []
+    make = Slope.make.__func__
+    monkeypatch.setattr(
+        Slope, "make", classmethod(lambda cls, p, q: made.append((p, q)) or make(cls, p, q))
+    )
+    assert main(["k1scan", "--max", "30", "--output", str(tmp_path / "scan.json")]) == 0
+    assert made == []
+    # the count sees a slope that is made
+    assert main(["kcoeffs", "--p2", "3", "--q2", "1", "--output", str(tmp_path / "k.json")]) == 0
+    assert made == [(3, 1)]
 
 
 def test_k1scan_at_large_norm(tmp_path, capsys):

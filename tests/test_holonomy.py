@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,9 +202,7 @@ def test_stacked_representations_equal_rows():
 
 
 def _build(x, y, z):
-    with np.errstate(invalid="ignore"):  # a non-finite row's radicand is nan
-        radicand = _z_radicand(x, y)
-    return _build_representation(x, y, z, radicand)
+    return _build_representation(x, y, z, _z_radicand(x, y))
 
 
 BAD_ROWS = {
@@ -247,3 +247,12 @@ def test_sl2_inverse_refuses_a_bad_row():
     with pytest.raises(HolonomyError, match="row 1: matrix determinant") as exc:
         sl2_inverse(m)
     assert exc.value.row == 1
+
+
+def test_a_non_finite_parameter_is_refused_before_the_radicand():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            continue_representation(np.array([np.nan, -1.0]), np.array([2j, 2j]))
+    assert exc.value.row == 0
+    assert exc.value.reason == "non-finite value (nan+0j)"

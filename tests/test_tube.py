@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 
 from conetube import (
     Slope,
+    SurgeryError,
     TubeError,
     fit_k_expansion,
     k1_range_check,
@@ -252,17 +253,25 @@ def _coprime_slopes(max_norm: int) -> list[Slope]:
     return [Slope.make(p, q) for p, q in pairs]
 
 
+def _columns(slopes: list[Slope]) -> tuple[list[int], list[int]]:
+    return [s.p for s in slopes], [s.q for s in slopes]
+
+
 def test_k_expansions_equal_one_slope_at_a_time(poly_curve):
     curve = poly_curve.symmetrized()
     slopes = _coprime_slopes(30)
-    batch = k_expansions(curve, slopes)
-    assert [k.slope2 for k in batch] == slopes
-    for k, s in zip(batch, slopes):
+    p, q = _columns(slopes)
+    k0, k1 = k_expansions(curve, np.array(p), np.array(q))
+    assert k0.shape == k1.shape == (len(slopes),)
+    # one row per slope, in order
+    for a0, a1, s in zip(k0.tolist(), k1.tolist(), slopes):
         one = k_expansion_closed_form(curve, s)
-        assert (k.source, one.source) == ("numeric-jet", "numeric-jet")
-        assert abs(k.k0 - one.k0) <= 1e-14 * abs(one.k0)
-        assert abs(k.k1 - one.k1) <= 1e-14 * abs(one.k1)
-    assert k_expansions(curve, []) == []
+        assert one.source == "numeric-jet"
+        assert abs(a0 - one.k0) <= 1e-14 * abs(one.k0)
+        assert abs(a1 - one.k1) <= 1e-14 * abs(one.k1)
+    # integer lists give the same columns as integer arrays
+    assert all(np.array_equal(a, b) for a, b in zip(k_expansions(curve, p, q), (k0, k1)))
+    assert [c.tolist() for c in k_expansions(curve, [], [])] == [[], []]
 
 
 def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
@@ -272,13 +281,28 @@ def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
     bad = Slope.make(1, 10**70)
     with pytest.raises(JetError) as one:
         k_expansion_closed_form(curve, bad)
-    slopes = _coprime_slopes(30)
-    slopes.insert(300, bad)  # second block of the scan
+    p, q = _columns(_coprime_slopes(30))
+    p.insert(300, bad.p)  # second block of the scan
+    q.insert(300, bad.q)
     with pytest.raises(JetError) as scan:
-        k_expansions(curve, slopes)
+        k_expansions(curve, p, q)
     assert type(scan.value) is type(one.value)
     assert str(scan.value) == str(one.value)
     assert str(one.value).startswith(f"slope (1, {10**70}): |p| + |q| above 1e+60")
+
+
+def test_k_expansions_refuse_what_a_slope_refuses(poly_curve):
+    curve = poly_curve.symmetrized()
+    p, q = _columns(_coprime_slopes(30))
+    p.insert(300, 6)  # second block of the scan
+    q.insert(300, 4)
+    with pytest.raises(SurgeryError) as scan:
+        k_expansions(curve, p, q)
+    with pytest.raises(SurgeryError) as one:
+        Slope.make(6, 4)
+    assert str(scan.value) == str(one.value) == "slope (6, 4) is not coprime"
+    with pytest.raises(TubeError, match="2 numerators against 1 denominators"):
+        k_expansions(curve, [1, 0], [0])
 
 
 def _exact_k(p: int, q: int) -> tuple[Fraction, Fraction]:
