@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -29,17 +30,18 @@ from .curves import (
 )
 from .gluing import (
     BASE_SHAPES,
-    BranchAnchors,
     GluingError,
+    _walk_eigenvalues,
     cusp_eigenvalues,
     residuals,
     solve_shapes,
 )
 from .holonomy import (
     HolonomyError,
+    Representation,
+    _walk_representation,
     base_representation,
     commutator_trace_minus2,
-    continue_representation,
     relation_residuals,
     trace_identity_l1,
     trace_identity_m1,
@@ -73,8 +75,10 @@ _ERRORS = (
 )
 _UNFILLED_HINT = 2 + 2j
 _VERIFY_SEED = 20250819
-# verify's points per batch: every run of up to this many points is one pass
-_VERIFY_BLOCK = 1024
+# verify's points per batch: every run of up to this many points is one pass,
+# and a walk's pass holds 8 substeps of each; 256 keeps the bench's peak RSS
+# where the per-substep passes of 1,024 points had it
+_VERIFY_BLOCK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -307,6 +311,11 @@ def _coprime_slopes(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
     return row - max_norm, col
 
 
+# k1scan's largest --max: _coprime_slopes' box of (2 max + 1)(max + 1)
+# int64 entries and its temporaries stay near 16 MiB each, for about
+# 0.61 M slopes
+_K1SCAN_MAX_NORM = 1000
+
 # one k1scan entry laid out as json.dump(payload, indent=2) lays it out:
 # %d is json's int text, and %r its float text for a finite float (every
 # Jet is checked finite)
@@ -338,6 +347,8 @@ def _write_k1scan(args, head: dict, columns: tuple[list, ...], tail: dict) -> No
 def cmd_k1scan(args, parser: _Parser) -> int:
     if args.max < 1:
         parser.error("--max must be at least 1")
+    if args.max > _K1SCAN_MAX_NORM:
+        parser.error(f"--max must be at most {_K1SCAN_MAX_NORM}")
     curve, method, slope1 = _curve_for(args, parser)
     p, q = _coprime_slopes(args.max)
     k0, k1 = k_expansions(curve.symmetrized(), p, q)
@@ -443,13 +454,19 @@ def cmd_tube(args, parser: _Parser) -> int:
 
 @contextlib.contextmanager
 def _points_from(start: int):
-    """Name the drawn point, not the block row, in a refusal of a block of points."""
+    """Name the drawn point, not the block row, in a refusal of a block of points.
+
+    A walk's pass refuses a ``(substep, row)``; its substep is named too.
+    """
     try:
         yield
     except ValueError as exc:
         row = getattr(exc, "row", None)
         if row is None:
             raise
+        if isinstance(row, tuple):
+            substep, row = row
+            raise type(exc)(f"point {start + row}: substep {substep + 1}: {exc.reason}") from exc
         raise type(exc)(f"point {start + row}: {exc.reason}") from exc
 
 
@@ -459,8 +476,11 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
     Points go through in blocks of ``_VERIFY_BLOCK`` rows, each block as one
     batch, and each check draws its points in order, block after block:
     the same draws as one ``(points, 4)`` uniform array, so a seed gives
-    the same points whatever the block size. Each substep of the 8-substep
-    walks from the base continues its branches from the substep before.
+    the same points whatever the block size. The 8-substep walks from the
+    base take their substeps as a leading array axis: one pass builds or
+    solves every (substep, point) of a block, runs every guard on each, and
+    continues each branch from the substep before by a product along that
+    axis. A refusal names the point and the substep.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -483,7 +503,8 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
             yield start, pair[:, 0], pair[:, 1]
 
     base = BASE_SHAPES.z1
-    steps = [k / 8.0 for k in range(1, 9)]
+    # the walks from the base take 8 substeps, a leading axis of each pass
+    steps = (np.arange(1, 9) / 8.0)[:, None]
 
     # gluing residuals on solver outputs
     worst = 0.0
@@ -493,37 +514,34 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
         worst = max(worst, float(np.maximum(abs(r1), abs(r2)).max()))
     record("gluing_residual", TOLERANCES.algebraic, worst)
 
-    # holonomy group relations near the base, walking the z branch in
-    # substeps; then the commutator trace identity on the same matrices
+    # holonomy group relations near the base, walking the z branch through
+    # the substeps; then the commutator trace identity on the same matrices
     worst_group = worst_comm = 0.0
     for start, dx, dy in blocks(0.12):
         x, y = -1.0 + dx, 2j + dy
         with _points_from(start):
-            rep = None
-            for s in steps:
-                rep = continue_representation(-1.0 + s * (x + 1.0), 2j + s * (y - 2j), rep)
+            walk = _walk_representation(-1.0 + steps * (x + 1.0), 2j + steps * (y - 2j))
+            rep = Representation(*(getattr(walk, f.name)[-1] for f in dataclasses.fields(walk)))
             worst_group = max(worst_group, float(np.maximum(*relation_residuals(rep)).max()))
             comm = abs(commutator_trace_minus2(rep) + rep.y)
         worst_comm = max(worst_comm, float(comm.max()))
     record("group_relations", TOLERANCES.group_relation, worst_group)
     record("commutator_trace", TOLERANCES.commutator_trace, worst_comm)
 
-    # cusp trace relations on variety samples; both identities are singular
-    # at the base point itself, so evaluate strictly off base
+    # cusp trace relations on variety samples, at the walks' last substep;
+    # both identities are singular at the base point itself, so evaluate
+    # strictly off base
     worst = 0.0
     for start, du, dv in blocks(0.08):
         u, v = base + du, base + dv
         with _points_from(start):
-            anchors = BranchAnchors()
-            for s in steps:
-                shapes = solve_shapes(base + s * (u - base), base + s * (v - base))
-                ev = cusp_eigenvalues(shapes, anchors)
-                anchors = ev.anchors
-            lhs_m = (ev.m1 + 1.0 / ev.m1) ** 2
-            lhs_l = ev.l1 + 1.0 / ev.l1
+            ev = _walk_eigenvalues(solve_shapes(base + steps * (u - base), base + steps * (v - base)))
+            m1, l1, m2, l2 = ev.m1[-1], ev.l1[-1], ev.m2[-1], ev.l2[-1]
+            lhs_m = (m1 + 1.0 / m1) ** 2
+            lhs_l = l1 + 1.0 / l1
             res = np.maximum(
-                abs(lhs_m - trace_identity_m1(ev.m2, ev.l2)),
-                abs(lhs_l - trace_identity_l1(ev.m2, ev.l2)),
+                abs(lhs_m - trace_identity_m1(m2, l2)),
+                abs(lhs_l - trace_identity_l1(m2, l2)),
             )
         worst = max(worst, float(res.max()))
     record("cusp_trace_relations", TOLERANCES.trace_relation, worst)

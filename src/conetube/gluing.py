@@ -41,6 +41,12 @@ walk halves the hop of each refused row on its own, down to ``_MIN_HOP``,
 as the scalar walk does. One failing row refuses the batch with the scalar
 path's exception type, and the message starts ``row i:``; the error
 carries ``row`` and ``reason``.
+
+Walks. Shapes whose arrays carry a leading substep axis, one substep of a
+walk from the base per index, go through ``_walk_eigenvalues``: the same
+eigenvalue formulas as ``cusp_eigenvalues``, with each root continued
+along that axis by ``jets._continue_sqrt_path`` in one pass. A refusal
+names ``(substep, row)``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ import dataclasses
 import numpy as np
 
 from .config import TOLERANCES, ensure_finite
-from .jets import _MAX_REL_STEP, BranchError, _refuse, continue_sqrt
+from .jets import _MAX_REL_STEP, BranchError, _continue_sqrt_path, _refuse, continue_sqrt
 
 BASE_SHAPE = complex(0.5, 0.5)
 CHART_RADIUS = 0.35
@@ -281,29 +287,43 @@ def log_eigenvalue_gradients(
     return tuple(zip(*rows))
 
 
+def _eigenvalues(s: TetShapes, anchors: BranchAnchors, continue_root) -> CuspEigenvalues:
+    """The eigenvalues at ``s``, each square root continued by ``continue_root`` from ``anchors``."""
+    arg_m1, arg_l1, arg_m2, arg_l2 = sqrt_arguments(s)
+    try:
+        s_m1 = continue_root(arg_m1, *anchors.m1)
+        s_l1 = continue_root(arg_l1, *anchors.l1)
+        s_m2 = continue_root(arg_m2, *anchors.m2)
+        s_l2 = continue_root(arg_l2, *anchors.l2)
+    except BranchError as exc:
+        lost = GluingError(f"eigenvalue branch lost: {exc}")
+        lost.row, lost.reason = exc.row, f"eigenvalue branch lost: {exc.reason}"
+        raise lost from exc
+    # m1's and m2's radicands are the ratios that l1 and l2 carry
+    return CuspEigenvalues(
+        m1=-s_m1,
+        l1=-arg_m1 * s_l1,
+        m2=-s_m2,
+        l2=-arg_m2 * s_l2,
+        anchors=BranchAnchors((arg_m1, s_m1), (arg_l1, s_l1), (arg_m2, s_m2), (arg_l2, s_l2)),
+    )
+
+
 def cusp_eigenvalues(s: TetShapes, anchors: BranchAnchors = BranchAnchors()) -> CuspEigenvalues:
     """Eigenvalues at the shapes ``s``, continued from ``anchors`` (the base's by default).
 
     The result carries the anchors continued to ``s``. Shapes that hold
     arrays continue every row from its own anchor.
     """
-    z1, z2, z3, z4 = s.as_tuple()
-    arg_m1, arg_l1, arg_m2, arg_l2 = sqrt_arguments(s)
-    try:
-        s_m1 = continue_sqrt(arg_m1, *anchors.m1)
-        s_l1 = continue_sqrt(arg_l1, *anchors.l1)
-        s_m2 = continue_sqrt(arg_m2, *anchors.m2)
-        s_l2 = continue_sqrt(arg_l2, *anchors.l2)
-    except BranchError as exc:
-        lost = GluingError(f"eigenvalue branch lost: {exc}")
-        lost.row, lost.reason = exc.row, f"eigenvalue branch lost: {exc.reason}"
-        raise lost from exc
-    ratio1 = (1 - z4) / (1 - z2)
-    ratio2 = (1 - z2) / (1 - z1)
-    return CuspEigenvalues(
-        m1=-s_m1,
-        l1=-ratio1 * s_l1,
-        m2=-s_m2,
-        l2=-ratio2 * s_l2,
-        anchors=BranchAnchors((arg_m1, s_m1), (arg_l1, s_l1), (arg_m2, s_m2), (arg_l2, s_l2)),
-    )
+    return _eigenvalues(s, anchors, continue_sqrt)
+
+
+def _walk_eigenvalues(s: TetShapes) -> CuspEigenvalues:
+    """Eigenvalues along walks from the base: the leading axis of ``s`` is the substep axis.
+
+    Row ``i`` of substep ``k`` continues from row ``i`` of substep ``k - 1``,
+    and substep 0 from the base, as ``cusp_eigenvalues`` called substep
+    after substep would, bit for bit (``_continue_sqrt_path``); every field
+    and anchor keeps the substep axis. A refusal names ``(substep, row)``.
+    """
+    return _eigenvalues(s, BranchAnchors(), _continue_sqrt_path)

@@ -30,7 +30,10 @@ and traces come back with the batch shape. Every guard (finiteness,
 ``continue_sqrt`` step of the z branch) runs on every row with the
 threshold of one point. One failing row refuses the batch with the same
 exception type as one point, and the message starts ``row i:``; the error
-carries ``row`` and ``reason``.
+carries ``row`` and ``reason``. ``_walk_representation`` takes a whole
+walk from the base in one pass: a leading axis of x and y is the substep
+axis, z is continued along it by ``jets._continue_sqrt_path``, and a
+refusal names ``(substep, row)``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import dataclasses
 import numpy as np
 
 from .config import TOLERANCES
-from .jets import BranchError, _refuse, continue_sqrt
+from .jets import BranchError, _continue_sqrt_path, _refuse, continue_sqrt
 
 BASE_X = complex(-1.0, 0.0)
 BASE_Y = complex(0.0, 2.0)
@@ -140,21 +143,38 @@ def _build_representation(x, y, z_value, radicand: tuple) -> Representation:
     return Representation(x, y, z, z2, alpha, beta, gamma)
 
 
+def _continued(x, y, anchor: tuple, continue_root) -> Representation:
+    """The representation at (x, y), z continued by ``continue_root`` from ``anchor``."""
+    w, z2 = _z_radicand(x, y)
+    try:
+        z = continue_root(np.asarray(z2), *anchor)
+    except BranchError as exc:
+        lost = HolonomyError(f"z branch lost: {exc}")
+        lost.row, lost.reason = exc.row, f"z branch lost: {exc.reason}"
+        raise lost from exc
+    return _build_representation(x, y, z, (w, z2))
+
+
 def continue_representation(x, y, previous: Representation | None = None) -> Representation:
     """The representation at (x, y), its z continued from ``previous`` (the base if None).
 
     Each row of a batch continues from its own row of ``previous``; the base
     broadcasts over any batch.
     """
-    w, z2 = _z_radicand(x, y)
     anchor = (BASE_Z_SQUARED, BASE_Z) if previous is None else (previous.z_squared, previous.z)
-    try:
-        z = continue_sqrt(np.asarray(z2), *anchor)
-    except BranchError as exc:
-        lost = HolonomyError(f"z branch lost: {exc}")
-        lost.row, lost.reason = exc.row, f"z branch lost: {exc.reason}"
-        raise lost from exc
-    return _build_representation(x, y, z, (w, z2))
+    return _continued(x, y, anchor, continue_sqrt)
+
+
+def _walk_representation(x: np.ndarray, y: np.ndarray) -> Representation:
+    """Representations along walks from the base: the leading axis of x and y is the substep axis.
+
+    Row ``i`` of substep ``k`` continues z from row ``i`` of substep ``k - 1``,
+    and substep 0 from the base, as ``continue_representation`` called
+    substep after substep would, bit for bit (``_continue_sqrt_path``).
+    Every substep is built, so every guard runs on every (substep, row),
+    and a refusal names ``(substep, row)``; every field keeps the substep axis.
+    """
+    return _continued(x, y, (BASE_Z_SQUARED, BASE_Z), _continue_sqrt_path)
 
 
 def base_representation() -> Representation:

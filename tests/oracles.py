@@ -6,8 +6,9 @@ display of the tube radius, branch continuation along a whole path, the
 hyperbolic distance between two geodesics from their cross-ratio with
 the tube radius as half the distance from the core axis to its tied
 translate (criterion 10's geometry oracle), a cone structure reached
-by small continuation steps, and the k1scan slopes listed pair by pair.
-None of them is used by the library.
+by small continuation steps, the k1scan slopes listed pair by pair, and
+verify's branch walks taken one call per substep. None of them is used by
+the library.
 """
 
 from __future__ import annotations
@@ -20,13 +21,25 @@ import numpy as np
 
 from conetube.config import TOLERANCES
 from conetube.gluing import (
+    BASE_SHAPE,
     BranchAnchors,
     CuspEigenvalues,
     GluingError,
     TetShapes,
+    cusp_eigenvalues,
+    residuals,
+    solve_shapes,
     sqrt_arguments,
 )
-from conetube.holonomy import continue_representation, y_from_l2
+from conetube.holonomy import (
+    Representation,
+    commutator_trace_minus2,
+    continue_representation,
+    relation_residuals,
+    trace_identity_l1,
+    trace_identity_m1,
+    y_from_l2,
+)
 from conetube.jets import BranchError, continue_log, continue_sqrt
 from conetube.surgery import (
     _COMPLETE,
@@ -283,3 +296,65 @@ def coprime_slope_pairs(max_norm: int) -> list[tuple[int, int]]:
             if math.gcd(p, q) == 1:
                 out.append((p, q))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# verify's walks, one call per substep
+
+VERIFY_SUBSTEPS = 8
+
+
+def stepwise_representations(x: np.ndarray, y: np.ndarray) -> list[Representation]:
+    """verify's walks of the z branch from the base to the rows (x, y), substep by substep.
+
+    One ``continue_representation`` call per substep, each continuing from
+    the one before; the list holds every substep's representation.
+    """
+    reps, rep = [], None
+    for k in range(1, VERIFY_SUBSTEPS + 1):
+        s = k / 8.0
+        rep = continue_representation(-1.0 + s * (x + 1.0), 2j + s * (y - 2j), rep)
+        reps.append(rep)
+    return reps
+
+
+def stepwise_eigenvalues(u: np.ndarray, v: np.ndarray) -> list[CuspEigenvalues]:
+    """verify's cusp walks from the base to the chart rows (u, v), substep by substep.
+
+    One ``solve_shapes`` and one ``cusp_eigenvalues`` call per substep, the
+    roots continued from the substep before; the list holds every substep's
+    eigenvalues.
+    """
+    evs, anchors = [], BranchAnchors()
+    for k in range(1, VERIFY_SUBSTEPS + 1):
+        s = k / 8.0
+        shapes = solve_shapes(BASE_SHAPE + s * (u - BASE_SHAPE), BASE_SHAPE + s * (v - BASE_SHAPE))
+        ev = cusp_eigenvalues(shapes, anchors)
+        anchors = ev.anchors
+        evs.append(ev)
+    return evs
+
+
+def stepwise_verify_residuals(points: int, seed: int) -> dict[str, np.ndarray]:
+    """verify's four residuals at each of its points, every walk taken substep by substep.
+
+    The points are verify's draws, each check's as one ``(points, 4)``
+    uniform array; every row is computed on its own, so one batch of all
+    the points gives each point's residuals whatever verify's block size.
+    """
+    rng = np.random.default_rng(seed)
+    g, h, c = (
+        rng.uniform(-radius, radius, size=(points, 4)).view(complex) for radius in (0.08, 0.12, 0.08)
+    )
+    r1, r2 = residuals(solve_shapes(BASE_SHAPE + g[:, 0], BASE_SHAPE + g[:, 1]))
+    rep = stepwise_representations(-1.0 + h[:, 0], 2j + h[:, 1])[-1]
+    ev = stepwise_eigenvalues(BASE_SHAPE + c[:, 0], BASE_SHAPE + c[:, 1])[-1]
+    return {
+        "gluing_residual": np.maximum(abs(r1), abs(r2)),
+        "group_relations": np.maximum(*relation_residuals(rep)),
+        "commutator_trace": abs(commutator_trace_minus2(rep) + rep.y),
+        "cusp_trace_relations": np.maximum(
+            abs((ev.m1 + 1.0 / ev.m1) ** 2 - trace_identity_m1(ev.m2, ev.l2)),
+            abs(ev.l1 + 1.0 / ev.l1 - trace_identity_l1(ev.m2, ev.l2)),
+        ),
+    }

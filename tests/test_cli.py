@@ -21,7 +21,12 @@ from conetube import (
 )
 from conetube import cli
 from conetube.cli import main
-from tests.oracles import coprime_slope_pairs
+from tests.oracles import (
+    coprime_slope_pairs,
+    stepwise_eigenvalues,
+    stepwise_representations,
+    stepwise_verify_residuals,
+)
 
 
 def run(capsys, *argv):
@@ -206,6 +211,9 @@ def test_base_tol_overrides_both_of_its_fields(capsys, monkeypatch):
         (["k1scan", "--max", "0"], "--max must be at least 1"),
         (["verify", "--seed", "-1"], "--seed must be non-negative"),
         (["tube", "--p2", "1", "--q2", "0", "--theta", "nan"], "--theta must be finite"),
+        # above the cap the slope box would not fit in memory: refused before it is built
+        (["k1scan", "--max", str(cli._K1SCAN_MAX_NORM + 1)], "--max must be at most 1000"),
+        (["k1scan", "--max", str(10**8)], "--max must be at most 1000"),
     ],
 )
 def test_a_handler_usage_error_prints_its_command_usage(capsys, argv, message):
@@ -466,21 +474,28 @@ def test_verify_cusp_trace_relations_near_the_base(capsys, points, seed):
 
 
 def test_verify_uses_one_draw_per_point_in_order(monkeypatch):
+    # each walk is one pass per block with the substep as its leading axis:
+    # record the passes' inputs, and check every (substep, point) entry
+    # against the arithmetic of that point's own draw
     points, seed = 20, 11
-    solved, walked = [], []
-    solve = cli.solve_shapes
-    representation = cli.continue_representation
+    solved, walked, eigen = [], [], []
+    solve, walk, eigenvalues = cli.solve_shapes, cli._walk_representation, cli._walk_eigenvalues
 
     def record_solve(u, v):
         solved.append((u, v))
         return solve(u, v)
 
-    def record_representation(x, y, previous=None):
+    def record_walk(x, y):
         walked.append((x, y))
-        return representation(x, y, previous)
+        return walk(x, y)
+
+    def record_eigenvalues(shapes):
+        eigen.append(shapes.z1.shape)
+        return eigenvalues(shapes)
 
     monkeypatch.setattr(cli, "solve_shapes", record_solve)
-    monkeypatch.setattr(cli, "continue_representation", record_representation)
+    monkeypatch.setattr(cli, "_walk_representation", record_walk)
+    monkeypatch.setattr(cli, "_walk_eigenvalues", record_eigenvalues)
     monkeypatch.setattr(cli, "_VERIFY_BLOCK", 8)
     checks = cli._verify_checks(points, seed, None)
     assert [c["points"] for c in checks] == [points] * 4
@@ -496,20 +511,105 @@ def test_verify_uses_one_draw_per_point_in_order(monkeypatch):
     gluing, holonomy, cusp = draws(0.08), draws(0.12), draws(0.08)
     steps = [k / 8.0 for k in range(1, 9)]
     blocks = [range(0, 8), range(8, 16), range(16, 20)]
-    assert len(solved) == 3 + 3 * 8 and len(walked) == 3 * 8
+    # one pass per block and check; each point solved 9 times, walked 8 steps twice
+    assert len(solved) == 2 * len(blocks) and len(walked) == len(eigen) == len(blocks)
+    assert sum(u.size for u, _ in solved) == 9 * points
+    assert sum(x.size for x, _ in walked) == 8 * points
+    assert sum(np.prod(shape) for shape in eigen) == 8 * points
 
     def concat(calls):
         return [complex(z) for u, v in calls for pair in zip(u, v) for z in pair]
 
     assert concat(solved[:3]) == [z for du, dv in gluing for z in (base + du, base + dv)]
     for b, rows in enumerate(blocks):
+        x_walk, y_walk = walked[b]
+        u_walk, v_walk = solved[3 + b]
+        assert x_walk.shape == u_walk.shape == eigen[b] == (8, len(rows))
         for k, s in enumerate(steps):
             x = [-1.0 + s * ((-1.0 + holonomy[i][0]) + 1.0) for i in rows]
             y = [2j + s * ((2j + holonomy[i][1]) - 2j) for i in rows]
-            assert concat([walked[8 * b + k]]) == [z for pair in zip(x, y) for z in pair]
+            assert concat([(x_walk[k], y_walk[k])]) == [z for pair in zip(x, y) for z in pair]
             uu = [base + s * ((base + cusp[i][0]) - base) for i in rows]
             vv = [base + s * ((base + cusp[i][1]) - base) for i in rows]
-            assert concat([solved[3 + 8 * b + k]]) == [z for pair in zip(uu, vv) for z in pair]
+            assert concat([(u_walk[k], v_walk[k])]) == [z for pair in zip(uu, vv) for z in pair]
+
+
+def _verify_draws(points: int, seed: int):
+    """verify's offsets (gluing, holonomy, cusp), each check's as one (points, 2) complex array."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-r, r, size=(points, 4)).view(complex) for r in (0.08, 0.12, 0.08)]
+
+
+@pytest.mark.parametrize(
+    "points, seed",
+    [(1, 7), (25, 1), (400, 2), (cli._VERIFY_BLOCK + 1, 4), (50, 3), (200, 1500881322)],
+)
+def test_stacked_walks_equal_the_stepwise_walks(points, seed):
+    _, h, c = _verify_draws(points, seed)
+    steps = (np.arange(1, 9) / 8.0)[:, None]
+    x, y = -1.0 + h[:, 0], 2j + h[:, 1]
+    reps = stepwise_representations(x, y)
+    walk = cli._walk_representation(-1.0 + steps * (x + 1.0), 2j + steps * (y - 2j))
+    for k, rep in enumerate(reps):
+        assert np.array_equal(walk.z[k], rep.z) and np.array_equal(walk.z_squared[k], rep.z_squared)
+        assert np.array_equal(walk.gamma[k], rep.gamma)
+    last = cli.Representation(*(getattr(walk, f.name)[-1] for f in dataclasses.fields(walk)))
+    for stacked, stepwise in zip(cli.relation_residuals(last), cli.relation_residuals(reps[-1])):
+        assert np.array_equal(stacked, stepwise)
+    assert np.array_equal(cli.commutator_trace_minus2(last), cli.commutator_trace_minus2(reps[-1]))
+
+    base = 0.5 + 0.5j
+    u, v = base + c[:, 0], base + c[:, 1]
+    evs = stepwise_eigenvalues(u, v)
+    ev = cli._walk_eigenvalues(cli.solve_shapes(base + steps * (u - base), base + steps * (v - base)))
+    for k, one in enumerate(evs):
+        for name in ("m1", "l1", "m2", "l2"):
+            assert np.array_equal(getattr(ev, name)[k], getattr(one, name))
+            arg, value = getattr(ev.anchors, name)
+            assert np.array_equal(arg[k], getattr(one.anchors, name)[0])
+            assert np.array_equal(value[k], getattr(one.anchors, name)[1])
+
+    # and the whole suite: each check's worst residual, bit for bit
+    stepwise = stepwise_verify_residuals(points, seed)
+    for check in cli._verify_checks(points, seed, None):
+        assert check["max_residual"] == float(stepwise[check["check"]].max()), check["check"]
+
+
+class _InjectedDraw:
+    """numpy's generator for verify, with one offset of one check's draw replaced."""
+
+    def __init__(self, seed, check: int, row: int, offset: list[float]):
+        self._rng, self._calls = _default_rng(seed), 0
+        self._check, self._row, self._offset = check, row, offset
+
+    def uniform(self, low, high, size):
+        out = self._rng.uniform(low, high, size)
+        if self._calls == self._check:
+            out[self._row] = self._offset
+        self._calls += 1
+        return out
+
+
+_default_rng = np.random.default_rng
+
+
+@pytest.mark.parametrize(
+    "check, offset, reason",
+    [
+        # y walks from 2i towards 0.1i, where z^2 = -1/y moves by 70% in substep 7
+        (1, [0.0, 0.0, 0.0, -1.9], "substep 7: z branch lost: relative step 0.704"),
+        # an eigenvalue radicand moves by 52% in substep 7; every substep solves
+        (2, [0.0, -0.32, 0.0, -0.33], "substep 7: eigenvalue branch lost: relative step 0.519"),
+    ],
+)
+def test_a_refused_walk_step_names_its_point(capsys, monkeypatch, check, offset, reason):
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _InjectedDraw(seed, check, 13, offset)
+    )
+    code, out, err = run(capsys, "verify", "--points", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"conetube: point 13: {reason}")
 
 
 def test_a_refused_row_names_the_drawn_point():
