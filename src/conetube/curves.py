@@ -6,9 +6,9 @@ A geometric curve is the germ of the second-cusp eigenvalue relation at
     l(m) = l0 + a1 (m - m0) + (a2/2) (m - m0)^2 + (a3/6) (m - m0)^3 + ...
 
 Coefficients come from one of two sources. ``expand_from_polynomial``
-differentiates a bivariate polynomial relation implicitly, handling both a
-smooth branch and the crossing of two smooth branches (where both first
-partials vanish and a hint picks the slope). ``expand_from_samples``
+solves a bivariate polynomial relation for the branch as a power series,
+one Newton step per order, both on a smooth branch and where two smooth
+branches cross (a hint picks the slope). ``expand_from_samples``
 differentiates a numerically parametrized curve by complex-stencil finite
 differences with Richardson extrapolation, then reverts and composes jets
 to eliminate the parameter.
@@ -20,14 +20,16 @@ a2 = -m0 a1 + l0 a1^2.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .config import TOLERANCES
-from .jets import Jet, compose, constant, reversion, variable
+from .jets import Jet, compose, constant, reversion, solve_series, variable
 
 _SLOPE_HINT_RELATIVE = 0.5
 
@@ -71,9 +73,13 @@ class BivariatePolynomial:
     def from_terms(cls, table: Mapping[tuple[int, int], complex]) -> "BivariatePolynomial":
         items = []
         for (dl, dm), c in table.items():
-            c = complex(c)
+            dl, dm, c = int(dl), int(dm), complex(c)
+            if dl < 0 or dm < 0:
+                raise CurveError(f"negative degree in the term l^{dl} m^{dm}")
+            if not cmath.isfinite(c):
+                raise CurveError(f"non-finite coefficient {c!r} of l^{dl} m^{dm}")
             if c != 0:
-                items.append((int(dl), int(dm), c))
+                items.append((dl, dm, c))
         if not items:
             raise CurveError("empty polynomial")
         return cls(tuple(sorted(items, key=lambda t: (t[0], t[1]))))
@@ -120,13 +126,16 @@ class BivariatePolynomial:
                 table[key] = table.get(key, 0.0) + complex(
                     float(term["re"]), float(term.get("im", 0.0))
                 )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CurveError(f"bad polynomial JSON: {exc}") from exc
         return cls.from_terms(table)
 
     @classmethod
     def from_json(cls, text: str) -> "BivariatePolynomial":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise CurveError(f"bad polynomial JSON: {exc}") from exc
 
 
 def whitehead_a_polynomial() -> BivariatePolynomial:
@@ -161,14 +170,66 @@ def figure_eight_a_polynomial() -> BivariatePolynomial:
     )
 
 
-def _branch_coefficients(
-    poly: BivariatePolynomial, m0: int, l0: int, c1: complex, c2: complex, c3: complex
-) -> list[complex]:
-    """Coefficients of A(l(m), m) in dm through order 4."""
-    d = variable("dm", 4)
-    m_jet = m0 + d
-    l_jet = l0 + c1 * d + c2 * d**2 + c3 * d**3
-    return poly.evaluate_jets(l_jet, m_jet).coeffs.tolist()
+def _branch_series(
+    poly: BivariatePolynomial, m0: int, l0: int, a1_hint: complex, order: int
+) -> Jet:
+    """l - l0 through (m - m0)**order on the branch of poly(l, m) = 0 with slope near the hint.
+
+    With d = m - m0 and l = l0 + d c(d), G(c, d) = poly(l, m) / d**k is a
+    series in d, with k = 1 on a smooth branch and k = 2 where two smooth
+    branches cross (both first partials vanish). G(c, 0) has degree k in c,
+    its root near the hint is the slope c(0), and ``solve_series`` continues
+    it to c(d).
+    """
+    poly.check_root(l0, m0)
+    scale, hint = poly.coefficient_scale(), complex(a1_hint)
+
+    def taylor(i: int, j: int) -> complex:  # of x^i y^j in poly(l0 + x, m0 + y)
+        return sum(
+            c * math.comb(dl, i) * math.comb(dm, j) * l0 ** (dl - i) * m0 ** (dm - j)
+            for dl, dm, c in poly.terms
+            if dl >= i and dm >= j
+        )
+
+    def near(c: complex) -> bool:
+        return abs(c - hint) <= _SLOPE_HINT_RELATIVE * max(abs(hint), abs(c))
+
+    jacobian = taylor(1, 0)
+    if abs(jacobian) >= TOLERANCES.crossing * scale:
+        k, c0 = 1, -taylor(0, 1) / jacobian
+        if not near(c0):
+            raise CurveError(f"branch slope {c0!r} is not near hint {hint!r}")
+    else:
+        if abs(taylor(0, 1)) > TOLERANCES.crossing * scale:
+            raise CurveError("no smooth branch: dA/dm does not vanish with dA/dl")
+        qa, qb, qc = taylor(2, 0), taylor(1, 1), taylor(0, 2)  # G(c, 0) = qa c^2 + qb c + qc
+        if abs(qa) < TOLERANCES.degenerate_order * scale:
+            raise CurveError("branch slope defect: quadratic slope equation degenerate")
+        disc = (qb * qb - 4.0 * qa * qc) ** 0.5
+        roots = [(-qb + disc) / (2.0 * qa), (-qb - disc) / (2.0 * qa)]
+        matches = [r for r in roots if near(r)]
+        if not matches:
+            raise CurveError(f"no branch slope near hint {hint!r}: roots {roots!r}")
+        gap = abs(roots[0] - roots[1])
+        if len(matches) == 2 and gap > TOLERANCES.double_root * max(1.0, abs(roots[0])):
+            raise CurveError(f"hint {hint!r} is ambiguous between {roots!r}")
+        k, c0 = 2, matches[0]
+        jacobian = 2.0 * qa * c0 + qb
+        if abs(jacobian) < TOLERANCES.degenerate_order * scale:
+            raise CurveError("branch continuation degenerate at order 2")
+
+    # poly(l, m) through d**(order + k - 1) gives G through d**(order - 1)
+    m = m0 + variable("dm", order + k - 1)
+
+    def along(c: Jet) -> Jet:
+        return poly.evaluate_jets(l0 + Jet(np.pad(c.coeffs, (1, k - 1)), "dm"), m)
+
+    start = constant(c0, order - 1, "dm")
+    c = solve_series(lambda x: Jet(along(x).coeffs[k:], "dm"), start, jacobian)
+    residual, bound = along(c).coeffs.tolist(), TOLERANCES.curve_residual * max(1.0, scale)
+    if max(map(abs, residual)) > bound:
+        raise CurveError(f"branch residual {residual!r} exceeds {bound}")
+    return c.shift_up(1)
 
 
 def expand_from_polynomial(
@@ -176,72 +237,11 @@ def expand_from_polynomial(
 ) -> GeometricCurve:
     """Order-3 branch of poly(l, m) = 0 at (l0, m0) with slope near the hint.
 
-    Implicit differentiation by jet probing: each unknown coefficient enters
-    the first not-yet-satisfied residual order linearly (through a crossing
-    point the orders shift up by one and the slope equation is quadratic).
+    The series comes from ``_branch_series``, at a crossing point of two
+    smooth branches as on one smooth branch.
     """
-    poly.check_root(l0, m0)
-    scale = poly.coefficient_scale()
-    a1_hint = complex(a1_hint)
-
-    # residual order 1 in the slope: E + D*c1 with D = dA/dl, E scaled dA/dm
-    e0 = _branch_coefficients(poly, m0, l0, 0.0, 0.0, 0.0)[1]
-    e1 = _branch_coefficients(poly, m0, l0, 1.0, 0.0, 0.0)[1]
-    dl_coeff = e1 - e0
-    crossing = abs(dl_coeff) < TOLERANCES.crossing * scale
-
-    if not crossing:
-        c1 = -e0 / dl_coeff
-    else:
-        if abs(e0) > TOLERANCES.crossing * scale:
-            raise CurveError("no smooth branch: dA/dm does not vanish with dA/dl")
-        # both partials vanish: order-2 residual is quadratic in the slope
-        f0 = _branch_coefficients(poly, m0, l0, 0.0, 0.0, 0.0)[2]
-        fp = _branch_coefficients(poly, m0, l0, 1.0, 0.0, 0.0)[2]
-        fm = _branch_coefficients(poly, m0, l0, -1.0, 0.0, 0.0)[2]
-        qa = (fp + fm) / 2.0 - f0
-        qb = (fp - fm) / 2.0
-        if abs(qa) < TOLERANCES.degenerate_order * scale:
-            raise CurveError("branch slope defect: quadratic slope equation degenerate")
-        disc = (qb * qb - 4.0 * qa * f0) ** 0.5
-        roots = [(-qb + disc) / (2.0 * qa), (-qb - disc) / (2.0 * qa)]
-        matches = [
-            r
-            for r in roots
-            if abs(r - a1_hint) <= _SLOPE_HINT_RELATIVE * max(abs(a1_hint), abs(r))
-        ]
-        if not matches:
-            raise CurveError(f"no branch slope near hint {a1_hint!r}: roots {roots!r}")
-        if len(matches) == 2 and abs(roots[0] - roots[1]) > TOLERANCES.double_root * max(
-            1.0, abs(roots[0])
-        ):
-            raise CurveError(f"hint {a1_hint!r} is ambiguous between {roots!r}")
-        c1 = matches[0]
-
-    if abs(c1 - a1_hint) > _SLOPE_HINT_RELATIVE * max(abs(a1_hint), abs(c1)):
-        raise CurveError(f"branch slope {c1!r} is not near hint {a1_hint!r}")
-
-    # remaining coefficients are linear in the next residual orders
-    k2 = 3 if crossing else 2
-    g0 = _branch_coefficients(poly, m0, l0, c1, 0.0, 0.0)[k2]
-    g1 = _branch_coefficients(poly, m0, l0, c1, 1.0, 0.0)[k2]
-    if abs(g1 - g0) < TOLERANCES.degenerate_order * scale:
-        raise CurveError("branch continuation degenerate at order 2")
-    c2 = -g0 / (g1 - g0)
-
-    k3 = k2 + 1
-    h0 = _branch_coefficients(poly, m0, l0, c1, c2, 0.0)[k3]
-    h1 = _branch_coefficients(poly, m0, l0, c1, c2, 1.0)[k3]
-    if abs(h1 - h0) < TOLERANCES.degenerate_order * scale:
-        raise CurveError("branch continuation degenerate at order 3")
-    c3 = -h0 / (h1 - h0)
-
-    residual = _branch_coefficients(poly, m0, l0, c1, c2, c3)
-    bound = TOLERANCES.curve_residual * max(1.0, scale)
-    if max(abs(r) for r in residual[:4]) > bound:
-        raise CurveError(f"branch residual {residual!r} exceeds {bound}")
-
-    return GeometricCurve(m0=m0, l0=l0, a1=c1, a2=2.0 * c2, a3=6.0 * c3)
+    _, b1, b2, b3 = _branch_series(poly, m0, l0, a1_hint, 3).coeffs.tolist()
+    return GeometricCurve(m0=m0, l0=l0, a1=b1, a2=2.0 * b2, a3=6.0 * b3)
 
 
 DEFAULT_STENCIL_RADII = (1e-2, 5e-3, 2.5e-3)

@@ -1,7 +1,7 @@
 """Truncated complex power series (jets) with explicit branch control.
 
 A ``Jet`` holds the coefficients ``c0 + c1*t + ... + ck*t**k`` of a function
-of one variable, truncated at order ``k <= 4``. Coefficients above the
+of one variable, truncated at any order ``k``. Coefficients above the
 truncation order are unknown rather than zero, so arithmetic truncates every
 result to the shortest operand, the same convention as any power-series
 calculus.
@@ -39,20 +39,20 @@ its ``row`` attribute. Every constructed jet is checked to be finite.
 
 Leading powers of the variable are moved explicitly with ``shift_down`` and
 ``shift_up``; ``real_modulus_jet`` expands ``|f(t)|`` for real ``t`` given
-the declared leading power of ``f``.
+the declared leading power of ``f``; ``solve_series`` solves F(X) = 0 order
+by order.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
 from .config import TOLERANCES
-
-MAX_ORDER = 4
 
 
 class JetError(ValueError):
@@ -92,6 +92,7 @@ def _refuse(bad: np.ndarray, error: type[ValueError], reason: Callable[[tuple], 
     raise exc
 
 
+@functools.cache
 def _convolution(m: int) -> np.ndarray:
     """0/1 matrix taking the flat outer product of two m-term series to their product."""
     out = np.zeros((m, m, m), dtype=complex)
@@ -101,21 +102,18 @@ def _convolution(m: int) -> np.ndarray:
     return out.reshape(m * m, m)
 
 
+@functools.cache
 def _toeplitz_index(m: int) -> np.ndarray:
     """Index of c[k - j] at (k, j) of the lower triangular Toeplitz matrix; 0 above it."""
     diff = np.subtract.outer(np.arange(m), np.arange(m))
     return np.where(diff >= 0, diff, 0)
 
 
-_CONVOLUTION = tuple(_convolution(m) for m in range(MAX_ORDER + 2))
-_TOEPLITZ = tuple(_toeplitz_index(m) for m in range(MAX_ORDER + 2))
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product of coefficient arrays with the same last axis."""
     m = a.shape[-1]
     outer = a[..., :, None] * b[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (m * m,)) @ _CONVOLUTION[m]
+    return outer.reshape(outer.shape[:-2] + (m * m,)) @ _convolution(m)
 
 
 def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,7 +127,7 @@ def _div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b0 = b[..., :1]
     u = b / b0
     u[..., 0] = 0.0
-    lower = u[..., _TOEPLITZ[m]]
+    lower = u[..., _toeplitz_index(m)]
     first = (a / b0)[..., None]
     h = first
     for _ in range(m - 1):
@@ -166,9 +164,8 @@ class Jet:
     def __post_init__(self) -> None:
         """Validate shape and finiteness; runs once for every constructed jet."""
         c = self.coeffs
-        if c.ndim == 0 or not 1 <= c.shape[-1] <= MAX_ORDER + 1:
-            got = c.shape[-1] - 1 if c.ndim else "a scalar"
-            raise JetError(f"jet order must be 0..{MAX_ORDER}, got {got}")
+        if c.ndim == 0 or c.shape[-1] == 0:
+            raise JetError("a jet needs at least its constant term")
         finite = np.isfinite(c)
         if not finite.all():
             _refuse(
@@ -284,12 +281,12 @@ class Jet:
         return Jet(c[..., k:], self.var)
 
     def shift_up(self, k: int) -> "Jet":
-        """Multiply by var**k, truncating at MAX_ORDER."""
+        """Multiply by var**k; the product is known through k more orders."""
         if k == 0:
             return self
         c = self.coeffs
         pad = np.zeros(c.shape[:-1] + (k,), dtype=complex)
-        return Jet(np.concatenate([pad, c], axis=-1)[..., : MAX_ORDER + 1], self.var)
+        return Jet(np.concatenate([pad, c], axis=-1), self.var)
 
     def rename(self, var: str) -> "Jet":
         """Same coefficients as a series in another variable."""
@@ -311,27 +308,17 @@ class Jet:
         return f"Jet({self.coeffs.tolist()!r}, var={self.var!r})"
 
 
-def constant(value, order: int = MAX_ORDER, var: str = "t") -> Jet:
+def constant(value, order: int = 4, var: str = "t") -> Jet:
     """The constant series ``value``; an array value gives one row per entry."""
     return Jet(_constant_coeffs(value, order + 1), var)
 
 
-def variable(var: str = "t", order: int = MAX_ORDER) -> Jet:
+def variable(var: str = "t", order: int = 4) -> Jet:
     if order < 1:
         raise JetError("variable jet needs order >= 1")
     coeffs = np.zeros(order + 1, dtype=complex)
     coeffs[1] = 1.0
     return Jet(coeffs, var)
-
-
-def jet_exp(f: Jet) -> Jet:
-    c0 = f.coeffs[..., 0]
-    u = f - c0
-    acc = constant(1.0, f.order, f.var)
-    # Horner form of sum u^k / k!
-    for n in range(f.order, 0, -1):
-        acc = acc * u * (1.0 / n) + 1.0
-    return acc * np.exp(c0)
 
 
 def jet_log(f: Jet, log_of_c0) -> Jet:
@@ -418,6 +405,20 @@ def reversion(f: Jet) -> Jet:
         acc = sum(out[..., j] * powers[j - 1][..., k] for j in range(1, k))
         out[..., k] = -acc / c[..., 1] ** k
     return Jet(out, f.var)
+
+
+def solve_series(residual: Callable[[Jet], Jet], start: Jet, jacobian) -> Jet:
+    """The series X with residual(X) = 0 and the constant term of ``start``.
+
+    That constant term is a simple root, ``jacobian`` is d residual / dX
+    there, and ``residual`` keeps the order of its argument. Each Newton step
+    with the Jacobian frozen fixes one more coefficient (Brent and Kung,
+    J. ACM 25, 1978), so ``start.order`` steps make every coefficient exact.
+    """
+    x = start
+    for _ in range(start.order):
+        x = x - residual(x) / jacobian
+    return x
 
 
 def real_modulus_jet(f: Jet, leading_power: int) -> Jet:

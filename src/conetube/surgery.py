@@ -149,7 +149,7 @@ class CurveJets:
             raise SurgeryError("curve slope a1 must have nonzero imaginary part")
         dl = curve.series_jet("dm")
         # -m = 1 - dm and -l = 1 - dl, both 1 at the base
-        logs = jet_log(1.0 - Jet(np.stack([variable("dm", 3).coeffs, dl.coeffs]), "dm"), 0.0)
+        logs = jet_log(1.0 - Jet(np.stack([variable("dm", dl.order).coeffs, dl.coeffs]), "dm"), 0.0)
         return cls(curve=curve, dl=dl, logs=logs)
 
 

@@ -6,9 +6,10 @@ display of the tube radius, branch continuation along a whole path, the
 hyperbolic distance between two geodesics from their cross-ratio with
 the tube radius as half the distance from the core axis to its tied
 translate (criterion 10's geometry oracle), a cone structure reached
-by small continuation steps, the k1scan slopes listed pair by pair, and
-verify's branch walks taken one call per substep. None of them is used by
-the library.
+by small continuation steps, the k1scan slopes listed pair by pair,
+verify's branch walks taken one call per substep, and the exponential of a
+jet, against which ``jet_log`` and ``compose`` are checked. None of them is
+used by the library.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from conetube.holonomy import (
     trace_identity_m1,
     y_from_l2,
 )
-from conetube.jets import BranchError, continue_log, continue_sqrt
+from conetube.jets import BranchError, Jet, constant, continue_log, continue_sqrt
 from conetube.surgery import (
     _COMPLETE,
     _TAU_STEP_MIN,
@@ -135,6 +136,16 @@ def _walk(path: Sequence[complex], start: complex, step: Callable) -> complex:
             prev = nxt
             stack.pop()
     return value
+
+
+def jet_exp(f: Jet) -> Jet:
+    """Series of exp f, by the Horner form of sum (f - f0)^k / k!."""
+    c0 = f.coeffs[..., 0]
+    u = f - c0
+    acc = constant(1.0, f.order, f.var)
+    for n in range(f.order, 0, -1):
+        acc = acc * u * (1.0 / n) + 1.0
+    return acc * np.exp(c0)
 
 
 def sqrt_along_path(path: Sequence[complex], start_value: complex) -> complex:

@@ -16,7 +16,7 @@ PUBLIC = [
     "continue_log", "continue_representation", "continue_sqrt", "convergence_table",
     "cusp_eigenvalues", "cusp_relation_residuals", "ensure_finite", "expand_from_polynomial",
     "expand_from_samples",
-    "figure_eight_a_polynomial", "filled_curve_sampler", "fit_k_expansion", "jet_exp",
+    "figure_eight_a_polynomial", "filled_curve_sampler", "fit_k_expansion",
     "jet_log", "jet_sqrt", "k1_range_check", "k_expansion_closed_form",
     "k_expansions", "l2_eigenvalue", "measure_tube", "mu_hat_squared_numeric",
     "peripheral_matrices", "real_modulus_jet", "relation_residuals", "residuals",
@@ -26,25 +26,29 @@ PUBLIC = [
 ]
 
 # names that copied another definition, served only the tests, became
-# module-private, or held branch state that points now carry as values, by
-# the namespace that defined them; the test-only ones live in tests/oracles.py
+# module-private, held branch state that points now carry as values, or
+# capped or unrolled what one generic jet path now does, by the namespace
+# that defined them; the test-only ones live in tests/oracles.py
 GONE = {
     tube: [
         "core_length", "commutator_trace_minus2_from_eigenvalues", "monotonicity_report",
         "tube_cosh2R_trace_form", "cross_ratio", "line_distance", "INFINITY", "_homogeneous",
     ],
-    curves: ["involution_defect"],
+    curves: ["involution_defect", "_branch_coefficients"],
     curves.GeometricCurve: ["is_involution_symmetric"],
     gluing: ["alternate_eigenvalues"],
     holonomy: ["build_representation", "z_radicand", "RepresentationFamily"],
     surgery: ["_ChartWalker", "_LogAnchors", "_filled_base_walker"],
-    jets: ["sqrt_along_path", "log_along_path", "_walk", "_MAX_DEPTH"],
+    jets: [
+        "sqrt_along_path", "log_along_path", "_walk", "_MAX_DEPTH", "jet_exp", "MAX_ORDER",
+        "_CONVOLUTION", "_TOEPLITZ",
+    ],
     jets.Jet: ["truncate"],
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 65
+    assert len(PUBLIC) == 64
     assert sorted(conetube.__all__) == PUBLIC
 
 

@@ -655,6 +655,35 @@ def test_a_rewritten_polynomial_file_is_read_again(tmp_path, capsys):
     assert scan(2 + 1.5j) == pytest.approx({"re": 2.0, "im": 1.5})
 
 
+MALFORMED_POLYNOMIALS = {
+    # name: (file text, what the refusal says)
+    "not json": ("{terms: [", "bad polynomial JSON"),
+    "degree not an integer": ('{"terms": [{"dl": "x", "dm": 0, "re": 1.0}]}', "bad polynomial JSON"),
+    "coefficient not a number": (
+        '{"terms": [{"dl": 1, "dm": 0, "re": "abc"}]}', "bad polynomial JSON"
+    ),
+    "coefficient overflows": ('{"terms": [{"dl": 1, "dm": 0, "re": 1e400}]}', "non-finite"),
+    "coefficient not finite": ('{"terms": [{"dl": 1, "dm": 0, "re": NaN}]}', "non-finite"),
+    "integer coefficient overflows": (
+        '{"terms": [{"dl": 1, "dm": 0, "re": 1%s}]}' % ("0" * 400), "bad polynomial JSON"
+    ),
+    "negative degree": (
+        '{"terms": [{"dl": -1, "dm": 0, "re": 1.0}, {"dl": 1, "dm": 0, "re": -1.0}]}',
+        "negative degree",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_POLYNOMIALS))
+def test_a_malformed_polynomial_file_exits_2(tmp_path, capsys, name):
+    text, reason = MALFORMED_POLYNOMIALS[name]
+    poly = tmp_path / "poly.json"
+    poly.write_text(text)
+    code, out, err = run(capsys, "acoeffs", "--polynomial", str(poly))
+    assert (code, out) == (2, "")
+    assert err.startswith("conetube: ") and reason in err
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     code, _, err = _exit_code(capsys, "k1scan", "--max", "0")

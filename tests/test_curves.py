@@ -4,6 +4,7 @@ import json
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from conetube import (
@@ -17,6 +18,7 @@ from conetube import (
     variable,
     whitehead_a_polynomial,
 )
+from conetube.curves import _branch_series
 from tests.conftest import A1, A2, A3
 
 R3 = math.sqrt(3)
@@ -99,6 +101,18 @@ def test_branches_match_cauchy_oracle():
         assert abs(curve.a1 - o1) < 1e-9
         assert abs(curve.a2 - o2) < 1e-9
         assert abs(curve.a3 - o3) < 1e-8
+
+
+def test_unfilled_branch_through_order_7():
+    # l + 1 = sum b_k (m + 1)^k on the branch with slope 2 + 2i
+    series = _branch_series(whitehead_a_polynomial(), -1, -1, 2 + 2j, 7)
+    expected = [0, 2 + 2j, 1 - 3j, -2, (1 + 1j) / 2, -0.5j, -0.25j, -0.5j]
+    assert series.order == 7
+    assert np.abs(series.coeffs - expected).max() < 1e-13
+    # the Cauchy oracle agrees, as factorial-normalised derivatives
+    oracle = _cauchy_oracle(whitehead_a_polynomial(), 2 + 2j, 7)
+    for k, derivative in enumerate(oracle, start=1):
+        assert abs(series[k] - derivative / math.factorial(k)) < 1e-12
 
 
 def test_figure_eight_branches():
@@ -213,3 +227,55 @@ def test_series_jet_composes():
     t = variable("t")
     inner = 3 * t + t * t
     assert abs(compose(jet, inner)[1] - 3 * curve.a1) < 1e-14
+
+
+def test_smooth_branch_of_the_hyperbola():
+    # l m = 1 is smooth at (-1, -1): l = 1/m, so l', l'', l''' are -1, -2, -6 there
+    poly = BivariatePolynomial.from_terms({(1, 1): 1.0, (0, 0): -1.0})
+    curve = expand_from_polynomial(poly, -1, -1, -1.0)
+    assert abs(curve.a1 + 1) < 1e-15
+    assert abs(curve.a2 + 2) < 1e-14
+    assert abs(curve.a3 + 6) < 1e-14
+
+
+# each polynomial vanishes at (-1, -1); with x = l + 1 and y = m + 1 they are
+REFUSALS = {
+    # x^2 + y: dA/dl vanishes, dA/dm does not
+    "no smooth branch": ({(2, 0): 1.0, (1, 0): 2.0, (0, 1): 1.0, (0, 0): 2.0}, 1.0),
+    # x y: a crossing whose order-2 residual has no c^2 term
+    "quadratic slope equation degenerate": ({(1, 1): 1.0, (1, 0): 1.0, (0, 1): 1.0, (0, 0): 1.0}, 1.0),
+    # (x - y)(x - 1.2 y): slopes 1 and 1.2 both lie near the hint 1.1
+    "is ambiguous between": (
+        {(2, 0): 1.0, (1, 1): -2.2, (0, 2): 1.2, (1, 0): -0.2, (0, 1): 0.2},
+        1.1,
+    ),
+    # (x - y)^2 = (l - m)^2: a double slope, so no order fixes the next coefficient
+    "continuation degenerate at order 2": ({(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0}, 1.0),
+    # l m = 1 is smooth with slope -1, far from the hint
+    "is not near hint": ({(1, 1): 1.0, (0, 0): -1.0}, 5.0),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(REFUSALS))
+def test_expansion_refusals_name_their_reason(reason):
+    table, hint = REFUSALS[reason]
+    poly = BivariatePolynomial.from_terms(table)
+    assert abs(poly.evaluate(-1, -1)) < 1e-15
+    with pytest.raises(CurveError, match=reason):
+        expand_from_polynomial(poly, -1, -1, hint)
+
+
+@pytest.mark.parametrize(
+    "table, reason",
+    [
+        # l^-1 - l vanishes at (-1, -1), but a Laurent term is not a polynomial
+        ({(-1, 0): 1.0, (1, 0): -1.0}, "negative degree"),
+        ({(1, 0): math.inf, (0, 0): 1.0}, "non-finite coefficient"),
+        ({(1, 0): -math.inf, (0, 0): 1.0}, "non-finite coefficient"),
+        ({(1, 0): math.nan, (0, 0): 1.0}, "non-finite coefficient"),
+        ({(1, 0): complex(1, math.inf), (0, 0): 1.0}, "non-finite coefficient"),
+    ],
+)
+def test_a_term_that_is_not_a_polynomial_term_is_refused(table, reason):
+    with pytest.raises(CurveError, match=reason):
+        BivariatePolynomial.from_terms(table)

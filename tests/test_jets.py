@@ -17,15 +17,14 @@ from conetube import (
     constant,
     continue_log,
     continue_sqrt,
-    jet_exp,
     jet_log,
     jet_sqrt,
     real_modulus_jet,
     reversion,
     variable,
 )
-from conetube.jets import _continue_sqrt_path
-from tests.oracles import log_along_path, sqrt_along_path
+from conetube.jets import _continue_sqrt_path, solve_series
+from tests.oracles import jet_exp, log_along_path, sqrt_along_path
 
 finite_complex = st.builds(
     complex,
@@ -203,7 +202,15 @@ def test_shift_up_pads():
     f = Jet((1, 2), var="t")
     g = f.shift_up(2)
     assert g.coeffs.tolist() == [0, 0, 1, 2]
-    assert variable().shift_up(4).coeffs.tolist() == [0, 0, 0, 0, 0]
+    # t is known through t^4, so t * t^4 is known through t^8
+    assert variable().shift_up(4).coeffs.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0]
+
+
+def test_solve_series_gives_the_square_root_through_order_8():
+    # X^2 = 1 + t from the simple root X(0) = 1, where d(X^2)/dX = 2
+    rhs = 1 + variable(order=8)
+    root = solve_series(lambda x: x * x - rhs, constant(1.0, 8), 2.0)
+    assert np.abs(root.coeffs - jet_sqrt(rhs, 1.0).coeffs).max() < 1e-15
 
 
 def test_real_modulus_of_constant():
@@ -334,9 +341,9 @@ coefficient = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def batch_pairs(draw, min_order=0):
-    """Two (rows, order+1) complex coefficient arrays: 1 to 4 rows of one order."""
+    """Two (rows, order+1) complex coefficient arrays: 1 to 4 rows of one order up to 8."""
     rows = draw(st.integers(1, 4))
-    m = draw(st.integers(min_order + 1, 5))
+    m = draw(st.integers(min_order + 1, 9))
     n = 2 * rows * m
     values = np.array(draw(st.lists(coefficient, min_size=2 * n, max_size=2 * n)))
     flat = values[0::2] + 1j * values[1::2]
