@@ -11,7 +11,8 @@ one Newton step per order, both on a smooth branch and where two smooth
 branches cross (a hint picks the slope). ``expand_from_samples``
 differentiates a numerically parametrized curve by complex-stencil finite
 differences with Richardson extrapolation, then reverts and composes jets
-to eliminate the parameter.
+to eliminate the parameter. It asks its sampler once for the whole
+stencil: an array of parameters in, the arrays (m, l) out.
 
 The involution (l, m) -> (1/l, 1/m) preserves the varieties of interest;
 ``GeometricCurve.involution_defect`` measures the induced constraint
@@ -61,6 +62,21 @@ class GeometricCurve:
         """Snap a2 onto the involution constraint; a1, a3 unchanged."""
         a2 = -self.m0 * self.a1 + self.l0 * self.a1 * self.a1
         return dataclasses.replace(self, a2=a2)
+
+
+def _json_degree(value) -> int:
+    """A degree read from JSON: an integral number, not a boolean."""
+    integral = isinstance(value, (int, float)) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"degree {value!r} is not an integer")
+    return int(value)
+
+
+def _json_number(value) -> float:
+    """A coefficient part read from JSON: anything ``float`` reads but a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"coefficient {value!r} is not a number")
+    return float(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,9 +138,9 @@ class BivariatePolynomial:
         try:
             table: dict[tuple[int, int], complex] = {}
             for term in data["terms"]:
-                key = (int(term["dl"]), int(term["dm"]))
+                key = (_json_degree(term["dl"]), _json_degree(term["dm"]))
                 table[key] = table.get(key, 0.0) + complex(
-                    float(term["re"]), float(term.get("im", 0.0))
+                    _json_number(term["re"]), _json_number(term.get("im", 0.0))
                 )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CurveError(f"bad polynomial JSON: {exc}") from exc
@@ -245,68 +261,59 @@ def expand_from_polynomial(
 
 
 DEFAULT_STENCIL_RADII = (1e-2, 5e-3, 2.5e-3)
+# the stencil's directions i^k, and the DFT weights i^(-jk) of its order-j terms
+_RING = np.array([1, 1j, -1, -1j])
+_DFT = _RING[(-np.outer(np.arange(4), np.arange(1, 4))) % 4]
 
 
-def _stencil_jet(
-    values: Callable[[complex], complex], base: complex, h: float, var: str
-) -> Jet:
-    """Order-3 jet from a 4-point circular stencil of radius h."""
-    ring = [values(h * 1j**k) for k in range(4)]
-    coeffs = [base]
-    for j in range(1, 4):
-        acc = 0j
-        for k in range(4):
-            acc += (ring[k] - base) * 1j ** ((-j * k) % 4)
-        coeffs.append(acc / (4.0 * h**j))
-    return Jet(tuple(coeffs), var)
+def _stencil_coefficients(ring: np.ndarray, base: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Order-3 Taylor coefficients from 4-point circular stencils, one per radius.
+
+    ``ring[..., r, k]`` is the value at ``radii[r] i^k`` and ``base[...]`` at 0;
+    the result holds ``[..., r, j]``, the coefficient of s^j.
+    """
+    out = np.empty(ring.shape, dtype=complex)
+    out[..., 0] = base[..., None]
+    out[..., 1:] = ((ring - base[..., None, None])[..., None] * _DFT).sum(axis=-2)
+    out[..., 1:] /= 4.0 * radii[:, None] ** np.arange(1, 4)
+    return out
 
 
-def _richardson_jets(
-    values: Callable[[complex], complex],
-    base: complex,
-    radii: Sequence[float],
-    var: str,
-) -> Jet:
-    """Extrapolate the h^4 stencil alias away; require stable estimates."""
-    if len(radii) < 3:
-        raise CurveError("need at least three stencil radii")
-    jets = [_stencil_jet(values, base, h, var) for h in radii]
-    extrap = []
-    for a, b in zip(jets, jets[1:]):
-        extrap.append(Jet((16.0 * b.coeffs - a.coeffs) / 15.0, var))
-    last, prev = extrap[-1], extrap[-2]
-    gap = float(np.abs(last.coeffs - prev.coeffs).max())
-    if gap > TOLERANCES.sample_agreement:
-        raise CurveError(f"stencil estimates disagree by {gap:.3e}")
-    return last
+def _richardson(coeffs: np.ndarray) -> np.ndarray:
+    """Extrapolate the h^4 stencil alias away along the radius axis; require stable estimates."""
+    extrap = (16.0 * coeffs[..., 1:, :] - coeffs[..., :-1, :]) / 15.0
+    gaps = np.abs(extrap[..., -1, :] - extrap[..., -2, :]).max(axis=-1)
+    for gap in gaps.ravel():
+        if gap > TOLERANCES.sample_agreement:
+            raise CurveError(f"stencil estimates disagree by {gap:.3e}")
+    return extrap[..., -1, :]
 
 
 def expand_from_samples(
-    sampler: Callable[[complex], tuple[complex, complex]],
+    sampler: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     m0: int,
     l0: int,
     radii: Sequence[float] = DEFAULT_STENCIL_RADII,
 ) -> GeometricCurve:
     """Differentiate a parametrized curve s -> (m(s), l(s)) at s = 0.
 
-    The sampler must be reentrant and satisfy sampler(0) = (m0, l0); the
+    The sampler is called once, with the whole stencil as an ndarray of s:
+    0 first, then the four points h i^k of each radius h. It returns the
+    arrays (m(s), l(s)), and must satisfy sampler(0) = (m0, l0); the
     parametrization is arbitrary (any smooth s with dm/ds != 0).
     """
-    base_m, base_l = sampler(0.0)
+    if len(radii) < 3:
+        raise CurveError("need at least three stencil radii")
+    radii = np.asarray(radii, dtype=float)
+    m, l = sampler(np.concatenate(([0j], np.outer(radii, _RING).ravel())))
+    base_m, base_l = complex(m[0]), complex(l[0])
     tol = TOLERANCES.base_point
     if abs(base_m - m0) > tol or abs(base_l - l0) > tol:
         raise CurveError(f"sampler(0) = {(base_m, base_l)!r} is not the base point")
-    cache: dict[complex, tuple[complex, complex]] = {}
-
-    def cached(s: complex) -> tuple[complex, complex]:
-        if s not in cache:
-            cache[s] = sampler(s)
-        return cache[s]
-
-    m_jet = _richardson_jets(lambda s: cached(s)[0], m0, radii, "s")
-    l_jet = _richardson_jets(lambda s: cached(s)[1], l0, radii, "s")
-    if abs(m_jet[1]) < TOLERANCES.stationary_parameter:
+    ring = np.stack((m[1:], l[1:])).reshape(2, radii.size, 4)
+    m_coeffs, l_coeffs = _richardson(_stencil_coefficients(ring, np.array([m0, l0]), radii))
+    if abs(m_coeffs[1]) < TOLERANCES.stationary_parameter:
         raise CurveError("degenerate linear term: dm/ds vanishes at 0")
-    s_of_dm = reversion(m_jet - m0).rename("dm")
-    _, b1, b2, b3 = compose(l_jet - l0, s_of_dm).coeffs.tolist()
+    s_of_dm = reversion(Jet(m_coeffs, "s") - m0).rename("dm")
+    _, b1, b2, b3 = compose(Jet(l_coeffs, "s") - l0, s_of_dm).coeffs.tolist()
     return GeometricCurve(m0=m0, l0=l0, a1=b1, a2=2.0 * b2, a3=6.0 * b3)

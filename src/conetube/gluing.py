@@ -34,13 +34,20 @@ Python numbers take the scalar path. ndarrays of chart points take the row
 path: each row is one point, and ``TetShapes``, ``CuspEigenvalues`` and
 the returned ``BranchAnchors`` then hold arrays with that batch axis. Both
 paths share the algebra (``_quadratic``, the root choice, ``z4``,
-``sqrt_arguments``, ``residuals``). On the row path every guard runs on
-every row with the scalar threshold: finiteness, ``CHART_RADIUS``, the
-degenerate-shape check and every ``continue_sqrt`` step. The discriminant
-walk halves the hop of each refused row on its own, down to ``_MIN_HOP``,
-as the scalar walk does. One failing row refuses the batch with the scalar
-path's exception type, and the message starts ``row i:``; the error
-carries ``row`` and ``reason``.
+``sqrt_arguments``, ``residuals``, ``log_eigenvalue_gradients``). On the
+row path every guard runs on every row with the scalar threshold:
+finiteness, ``CHART_RADIUS``, the degenerate-shape check and every
+``continue_sqrt`` step. The row path takes the discriminant's first
+``_SEGMENT_HOPS`` hops stacked on a leading axis, in one
+``_continue_sqrt_path`` pass, and the four eigenvalue roots stacked in one
+``continue_sqrt`` pass (``_continue_stacked``, which ``surgery`` uses for
+its four logs too). Where a row would split a hop, every row walks the
+discriminant instead, each halving its own hop down to ``_MIN_HOP`` as the
+scalar walk does; both walks give the same bits. One failing row refuses
+the batch with the scalar path's exception type, and the message starts
+``row i:``; the error carries ``row`` and ``reason``. A stacked pass runs
+each guard over all its quantities before the next guard, so where one
+batch has two faults the one reported can differ from the scalar order.
 
 Walks. Shapes whose arrays carry a leading substep axis, one substep of a
 walk from the base per index, go through ``_walk_eigenvalues``: the same
@@ -67,10 +74,20 @@ _BASE_DISC_SQRT = complex(-0.5, 0.5)
 # gives up once a hop would be shorter than _MIN_HOP of it
 _SEGMENT_HOPS = 2
 _MIN_HOP = 2.0**-20
+# where those hops end, summed hop by hop as the walk sums them
+_HOP_ENDS = np.minimum(1.0, np.cumsum(np.full(_SEGMENT_HOPS, 1.0 / _SEGMENT_HOPS)))
 
 
 class GluingError(ValueError):
     pass
+
+
+def _stack(values: tuple) -> np.ndarray:
+    """Numbers or rows stacked on a new leading axis, broadcast to one shape."""
+    out = np.empty((len(values),) + np.broadcast(*values).shape, dtype=complex)
+    for k, value in enumerate(values):
+        out[k] = value
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,9 +137,12 @@ def _quadratic(u: complex, v: complex) -> tuple[complex, complex, complex]:
 def _continued_disc_sqrt(u, v):
     """sqrt(disc) at (u, v), continued along the chart segment from the base.
 
-    Rows of arrays walk side by side, each with its own hop: a row whose
-    hop the anchor refuses halves it and retries, as one point does, while
-    the other rows step on. ``continue_sqrt`` still checks every step taken.
+    Rows of arrays first take the ``_SEGMENT_HOPS`` first hops stacked on a
+    leading axis, in one ``_continue_sqrt_path`` pass. If any row would
+    split a hop, every row walks instead side by side, each with its own
+    hop: a row whose hop the anchor refuses halves it and retries, as one
+    point does, while the other rows step on, and ``continue_sqrt`` checks
+    every step taken. Both give the same bits.
     """
     du, dv = u - BASE_SHAPE, v - BASE_SHAPE
     if type(du) is complex:
@@ -141,6 +161,17 @@ def _continued_disc_sqrt(u, v):
                 continue
             t, arg = nxt, disc
         return value
+    # most rows take the first hops unsplit: all of them at once, in one pass
+    ends = _HOP_ENDS.reshape(_HOP_ENDS.shape + (1,) * du.ndim)
+    qa, qb, qc = _quadratic(BASE_SHAPE + ends * du, BASE_SHAPE + ends * dv)
+    try:
+        return _continue_sqrt_path(qb * qb - 4 * qa * qc, _BASE_DISC, _BASE_DISC_SQRT)[-1]
+    except BranchError:
+        return _walk_disc_sqrt(du, dv)  # some row would split a hop
+
+
+def _walk_disc_sqrt(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """The row walk of ``_continued_disc_sqrt`` to the offsets (du, dv), a hop per row."""
     t, hop = np.zeros(du.shape), np.full(du.shape, 1.0 / _SEGMENT_HOPS)
     arg, value = np.full(du.shape, _BASE_DISC), np.full(du.shape, _BASE_DISC_SQRT)
     live = t < 1.0
@@ -287,14 +318,42 @@ def log_eigenvalue_gradients(
     return tuple(zip(*rows))
 
 
-def _eigenvalues(s: TetShapes, anchors: BranchAnchors, continue_root) -> CuspEigenvalues:
-    """The eigenvalues at ``s``, each square root continued by ``continue_root`` from ``anchors``."""
-    arg_m1, arg_l1, arg_m2, arg_l2 = sqrt_arguments(s)
+def _continue_stacked(step, args: tuple, anchors: tuple) -> np.ndarray:
+    """``step`` (``continue_sqrt`` or ``continue_log``) of every row of each argument, in one pass.
+
+    ``args`` are row arrays and ``anchors`` their (argument, value) pairs,
+    all numbers (the base's, say) or all rows. They are stacked on a
+    leading axis, and each step guard runs on all of them before the next
+    guard: every branch point is refused before any long step, and within
+    one guard the first argument in order goes first. So a batch with two
+    faults can report another one than the calls in turn would. The
+    refusal names the row alone.
+    """
+    args = _stack(args)
+    pairs = np.array(anchors)
+    pairs = pairs.reshape(pairs.shape + (1,) * (args.ndim + 1 - pairs.ndim))
     try:
-        s_m1 = continue_root(arg_m1, *anchors.m1)
-        s_l1 = continue_root(arg_l1, *anchors.l1)
-        s_m2 = continue_root(arg_m2, *anchors.m2)
-        s_l2 = continue_root(arg_l2, *anchors.l2)
+        return step(args, pairs[:, 0], pairs[:, 1])
+    except BranchError as exc:
+        row = exc.row[1:]  # without the stacked index
+        raise BranchError(exc.reason, row[0] if len(row) == 1 else row) from exc
+
+
+def _eigenvalues(s: TetShapes, anchors: BranchAnchors, continue_root) -> CuspEigenvalues:
+    """The eigenvalues at ``s``, each square root continued by ``continue_root`` from ``anchors``.
+
+    ``continue_root`` None takes the four roots of a row batch at once.
+    """
+    arg_m1, arg_l1, arg_m2, arg_l2 = args = sqrt_arguments(s)
+    try:
+        if continue_root is None:
+            pairs = (anchors.m1, anchors.l1, anchors.m2, anchors.l2)
+            s_m1, s_l1, s_m2, s_l2 = _continue_stacked(continue_sqrt, args, pairs)
+        else:
+            s_m1 = continue_root(arg_m1, *anchors.m1)
+            s_l1 = continue_root(arg_l1, *anchors.l1)
+            s_m2 = continue_root(arg_m2, *anchors.m2)
+            s_l2 = continue_root(arg_l2, *anchors.l2)
     except BranchError as exc:
         lost = GluingError(f"eigenvalue branch lost: {exc}")
         lost.row, lost.reason = exc.row, f"eigenvalue branch lost: {exc.reason}"
@@ -313,9 +372,10 @@ def cusp_eigenvalues(s: TetShapes, anchors: BranchAnchors = BranchAnchors()) -> 
     """Eigenvalues at the shapes ``s``, continued from ``anchors`` (the base's by default).
 
     The result carries the anchors continued to ``s``. Shapes that hold
-    arrays continue every row from its own anchor.
+    arrays continue every row from its own anchor, the four roots stacked
+    in one pass.
     """
-    return _eigenvalues(s, anchors, continue_sqrt)
+    return _eigenvalues(s, anchors, None if isinstance(s.z1, np.ndarray) else continue_sqrt)
 
 
 def _walk_eigenvalues(s: TetShapes) -> CuspEigenvalues:

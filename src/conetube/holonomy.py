@@ -14,7 +14,7 @@ alpha/gamma pair). One matrix entry involves
 
 whose branch is pinned at the complete structure ``(x, y) = (-1, 2i)``
 where ``w = -4`` and ``z = -(1+i)/2``, and continued from there:
-``continue_representation`` continues z from a previous representation's
+``_continued`` continues z from a previous representation's
 ``(z_squared, z)``, so a walk hands each representation to the next.
 
 Peripheral elements: the second-cusp meridian/longitude pair is
@@ -43,7 +43,7 @@ import dataclasses
 import numpy as np
 
 from .config import TOLERANCES
-from .jets import BranchError, _continue_sqrt_path, _refuse, continue_sqrt
+from .jets import BranchError, _continue_sqrt_path, _refuse
 
 BASE_X = complex(-1.0, 0.0)
 BASE_Y = complex(0.0, 2.0)
@@ -155,22 +155,12 @@ def _continued(x, y, anchor: tuple, continue_root) -> Representation:
     return _build_representation(x, y, z, (w, z2))
 
 
-def continue_representation(x, y, previous: Representation | None = None) -> Representation:
-    """The representation at (x, y), its z continued from ``previous`` (the base if None).
-
-    Each row of a batch continues from its own row of ``previous``; the base
-    broadcasts over any batch.
-    """
-    anchor = (BASE_Z_SQUARED, BASE_Z) if previous is None else (previous.z_squared, previous.z)
-    return _continued(x, y, anchor, continue_sqrt)
-
-
 def _walk_representation(x: np.ndarray, y: np.ndarray) -> Representation:
     """Representations along walks from the base: the leading axis of x and y is the substep axis.
 
     Row ``i`` of substep ``k`` continues z from row ``i`` of substep ``k - 1``,
-    and substep 0 from the base, as ``continue_representation`` called
-    substep after substep would, bit for bit (``_continue_sqrt_path``).
+    and substep 0 from the base, as ``_continued`` with ``continue_sqrt``
+    called substep after substep would, bit for bit (``_continue_sqrt_path``).
     Every substep is built, so every guard runs on every (substep, row),
     and a refusal names ``(substep, row)``; every field keeps the substep axis.
     """
@@ -217,16 +207,11 @@ def peripheral_matrices(rep: Representation) -> PeripheralMatrices:
     )
 
 
-def l2_eigenvalue(x, y):
-    """Second-cusp longitude eigenvalue paired with meridian eigenvalue x."""
-    x2 = x * x
-    den = -1.0 + x2 + y
-    _refuse(den == 0, HolonomyError, lambda i: "longitude eigenvalue is singular here")
-    return (-1.0 + x2 - x2 * y) / den
-
-
 def y_from_l2(x, l2):
-    """Invert l2_eigenvalue in y at fixed x."""
+    """y at fixed x from the second-cusp longitude eigenvalue.
+
+    The inverse of l2 = (x^2 - 1 - x^2 y) / (x^2 + y - 1).
+    """
     den = l2 + x * x
     _refuse(den == 0, HolonomyError, lambda i: "(x, l2) lies on the exceptional locus")
     return (x * x - 1.0) * (1.0 - l2) / den
@@ -271,11 +256,3 @@ def trace_identity_l1(m2, l2):
         - 2.0 * a2 * a * b + 2.0 * a2 * a2 - a2 * a2 * b
     )
     return num / den
-
-
-def cusp_relation_residuals(rep: Representation) -> tuple:
-    """Commutation defect of each cusp's meridian/longitude pair."""
-    per = peripheral_matrices(rep)
-    r1 = _product(per.meridian1, per.longitude1) - _product(per.longitude1, per.meridian1)
-    r2 = _product(per.meridian2, per.longitude2) - _product(per.longitude2, per.meridian2)
-    return _max_norm(r1), _max_norm(r2)

@@ -25,8 +25,8 @@ branch points:
   and the series is built on that sheet.
 * ``continue_sqrt`` and ``continue_log`` take one continuation step of a
   branch from a known (argument, value) anchor, refusing a step large
-  enough to be ambiguous; the caller subdivides its own path. ``continue_sqrt``
-  also steps every row of an array at once, and ``_continue_sqrt_path``
+  enough to be ambiguous; the caller subdivides its own path. Both also
+  step every row of an array at once, and ``_continue_sqrt_path``
   walks every row through a whole path of substeps, a leading array axis,
   in one pass.
 
@@ -451,16 +451,17 @@ def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
 _MAX_REL_STEP = 0.5
 
 
-def _sqrt_of_steps(arg, anchor_arg):
-    """sqrt(arg / anchor_arg) on every row, refusing a branch point or a long step.
+def _ratio_of_steps(arg, anchor_arg, kind: str):
+    """arg / anchor_arg on every row, refusing a branch point or a long step.
 
-    The two step guards of ``continue_sqrt``, run on the whole array; a
-    refused row refuses it with its index named.
+    The two step guards of ``continue_sqrt`` and ``continue_log`` (``kind``
+    names the function), run on the whole array; a refused row refuses it
+    with its index named.
     """
     _refuse(
         (anchor_arg == 0) | (arg == 0),
         BranchError,
-        lambda i: "square-root argument hit the branch point 0",
+        lambda i: f"{kind} argument hit the branch point 0",
     )
     ratio = arg / anchor_arg
     step = np.abs(ratio - 1.0)
@@ -469,7 +470,12 @@ def _sqrt_of_steps(arg, anchor_arg):
         BranchError,
         lambda i: f"relative step {step[i]:.3f} exceeds {_MAX_REL_STEP}; subdivide the path",
     )
-    return np.sqrt(ratio)
+    return ratio
+
+
+def _sqrt_of_steps(arg, anchor_arg):
+    """sqrt(arg / anchor_arg) on every row, under the step guards of ``continue_sqrt``."""
+    return np.sqrt(_ratio_of_steps(arg, anchor_arg, "square-root"))
 
 
 def continue_sqrt(arg, anchor_arg, anchor_value):
@@ -512,8 +518,14 @@ def _continue_sqrt_path(args: np.ndarray, anchor_arg, anchor_value) -> np.ndarra
     return values
 
 
-def continue_log(arg: complex, anchor_arg: complex, anchor_value: complex) -> complex:
-    """One continuation step of log from a known (argument, value) anchor."""
+def continue_log(arg, anchor_arg, anchor_value):
+    """One continuation step of log from a known (argument, value) anchor.
+
+    Python numbers take one step; an ndarray ``arg`` takes one step per
+    row, as ``continue_sqrt`` does.
+    """
+    if type(arg) is not complex and isinstance(arg, np.ndarray):
+        return anchor_value + np.log(_ratio_of_steps(arg, anchor_arg, "log"))
     if anchor_arg == 0 or arg == 0:
         raise BranchError("log argument hit the branch point 0")
     ratio = arg / anchor_arg

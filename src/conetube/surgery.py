@@ -25,6 +25,14 @@ doubled after an accepted one. A walk's whole state is its last accepted
 ``VarietyPoint``, which carries the anchors of every square root and log:
 Newton starts at that point and continues each later iterate from it, so a
 refused step leaves nothing to undo. ``_COMPLETE`` starts every walk.
+
+The curve samplers solve the pinned meridian m2 = -1 + s from one base
+point. Given an array of s, as ``expand_from_samples`` gives its whole
+stencil, ``_newton`` takes every s as one row of a single Newton pass
+(``_row_newton``): each row steps, polishes and stops as the scalar Newton
+does, ``_continue_point`` takes every chart point of a pass at once, and a
+refused row names its s. Cone structures and base walks take the
+scalar steps.
 """
 
 from __future__ import annotations
@@ -45,11 +53,22 @@ from .gluing import (
     CuspEigenvalues,
     GluingError,
     TetShapes,
+    _continue_stacked,
     cusp_eigenvalues,
     log_eigenvalue_gradients,
     solve_shapes,
 )
-from .jets import BranchError, Jet, JetError, compose, continue_log, jet_log, reversion, variable
+from .jets import (
+    BranchError,
+    Jet,
+    JetError,
+    _refuse,
+    compose,
+    continue_log,
+    jet_log,
+    reversion,
+    variable,
+)
 
 THETA_MAX = 0.5
 MIN_FILLED_NORM = 8
@@ -248,13 +267,27 @@ class _Affine:
     const: complex
 
     def value(self, x: tuple[complex, ...]) -> complex:
-        return sum(c * xk for c, xk in zip(self.coeffs, x)) + self.const
+        return _combination(self.coeffs, x) + self.const
 
     def gradient(self, grads: tuple[tuple[complex, complex], ...]) -> tuple[complex, complex]:
         return (
-            sum(c * g[0] for c, g in zip(self.coeffs, grads)),
-            sum(c * g[1] for c, g in zip(self.coeffs, grads)),
+            _combination(self.coeffs, [g[0] for g in grads]),
+            _combination(self.coeffs, [g[1] for g in grads]),
         )
+
+
+def _combination(coeffs: tuple[complex, ...], xs) -> complex:
+    """sum(c x) over the nonzero coefficients c, taking x itself for c = 1.
+
+    Skipping the zero and unit multiplies changes at most the sign of a
+    zero, and saves most of the work on rows.
+    """
+    total = None
+    for c, x in zip(coeffs, xs):
+        if c:
+            term = x if c == 1 else c * x
+            total = term if total is None else total + term
+    return 0 if total is None else total
 
 
 # a residual pair for the chart Newton
@@ -301,17 +334,30 @@ _COMPLETE = VarietyPoint(
 
 
 def _continue_point(prev: VarietyPoint, u: complex, v: complex) -> VarietyPoint:
-    """The chart point (u, v), every branch continued from prev."""
+    """The chart point (u, v), every branch continued from prev.
+
+    Arrays (u, v) continue every row, from prev's rows or from one point.
+    """
     shapes = solve_shapes(u, v)
     ev = cusp_eigenvalues(shapes, prev.eigenvalues.anchors)
     old = prev.eigenvalues
     try:
-        lm1 = continue_log(-ev.m1, -old.m1, prev.log_m1)
-        ll1 = continue_log(-ev.l1, -old.l1, prev.log_l1)
-        lm2 = continue_log(-ev.m2, -old.m2, prev.log_m2)
-        ll2 = continue_log(-ev.l2, -old.l2, prev.log_l2)
+        if isinstance(u, np.ndarray):  # every row's four logs in one pass
+            lm1, ll1, lm2, ll2 = _continue_stacked(
+                continue_log,
+                (-ev.m1, -ev.l1, -ev.m2, -ev.l2),
+                ((-old.m1, prev.log_m1), (-old.l1, prev.log_l1),
+                 (-old.m2, prev.log_m2), (-old.l2, prev.log_l2)),
+            )
+        else:
+            lm1 = continue_log(-ev.m1, -old.m1, prev.log_m1)
+            ll1 = continue_log(-ev.l1, -old.l1, prev.log_l1)
+            lm2 = continue_log(-ev.m2, -old.m2, prev.log_m2)
+            ll2 = continue_log(-ev.l2, -old.l2, prev.log_l2)
     except BranchError as exc:
-        raise GluingError(f"filling log branch lost: {exc}") from exc
+        lost = GluingError(f"filling log branch lost: {exc}")
+        lost.row, lost.reason = exc.row, f"filling log branch lost: {exc.reason}"
+        raise lost from exc
     return VarietyPoint(
         u=u, v=v, shapes=shapes, eigenvalues=ev,
         log_m1=lm1, log_l1=ll1, log_m2=lm2, log_l2=ll2,
@@ -319,7 +365,13 @@ def _continue_point(prev: VarietyPoint, u: complex, v: complex) -> VarietyPoint:
 
 
 def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
-    """The converged point of residual = 0, Newton from start on start's branches."""
+    """The converged point of residual = 0, Newton from start on start's branches.
+
+    A residual with an array constant, one row per problem, takes
+    ``_row_newton``; numbers take the scalar steps below.
+    """
+    if isinstance(residual[0].const, np.ndarray) or isinstance(residual[1].const, np.ndarray):
+        return _row_newton(start, residual)
     u, v = start.u, start.v
     tol = TOLERANCES.newton
     polish = False
@@ -338,6 +390,41 @@ def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
         u -= (f1 * j22 - f2 * j12) / det
         v -= (j11 * f2 - j21 * f1) / det
     raise SurgeryError("filling Newton failed to converge")
+
+
+def _row_newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
+    """``_newton`` with one problem per row of the residuals' constants, all from start.
+
+    Each row takes the scalar Newton's steps on its own: the first from
+    start with start's Jacobian, shared by every row; then it polishes once
+    its residual is below the bound, and after that step it is frozen (its
+    point is recomputed unchanged while other rows go on). Each pass
+    continues every row's chart point from start in one ``_continue_point``
+    on arrays. A refused row refuses the batch with the scalar exception
+    type and message, prefixed ``row i:``; the error carries ``row`` and
+    ``reason``. The returned point holds arrays, one row per problem.
+    """
+    tol = TOLERANCES.newton
+    shape = np.broadcast(residual[0].const, residual[1].const).shape
+    u, v = np.full(shape, start.u), np.full(shape, start.v)
+    polish, done = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    for k in range(_NEWTON_MAX_ITER):
+        pt = _continue_point(start, u, v) if k else start
+        x = _coordinates(pt)
+        f1, f2 = residual[0].value(x), residual[1].value(x)
+        done |= polish
+        if done.all():
+            return pt
+        polish |= np.maximum(abs(f1), abs(f2)) < tol
+        (j11, j12), (j21, j22) = _jacobian(residual, pt)
+        det = j11 * j22 - j12 * j21
+        live = ~done
+        singular = live & (abs(det) < TOLERANCES.singular)
+        _refuse(singular, SurgeryError, lambda i: "filling Jacobian is singular")
+        det = np.where(live, det, 1.0)
+        u = np.where(live, u - (f1 * j22 - f2 * j12) / det, u)
+        v = np.where(live, v - (j11 * f2 - j21 * f1) / det, v)
+    _refuse(~done, SurgeryError, lambda i: "filling Newton failed to converge")
 
 
 def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Affine:
@@ -414,10 +501,19 @@ def solve_cone_structure(
 
 
 def _meridian_pinned_sampler(base: VarietyPoint, first: _Affine) -> Callable:
-    """Sampler s -> (m2, l2) solving {first-cusp relation, m2 = -1 + s} from base."""
+    """Sampler s -> (m2, l2) solving {first-cusp relation, m2 = -1 + s} from base.
 
-    def sample(s: complex) -> tuple[complex, complex]:
-        pt = _newton(base, (first, _pinned_meridian(s)))
+    A number s is one Newton solve. An ndarray of s is one row Newton with
+    a row per s, returning arrays; a refused row names its s.
+    """
+
+    def sample(s):
+        try:
+            pt = _newton(base, (first, _pinned_meridian(s)))
+        except ValueError as exc:
+            if getattr(exc, "row", None) is None or not isinstance(s, np.ndarray):
+                raise
+            raise type(exc)(f"s = {complex(s[exc.row])!r}: {exc.reason}") from exc
         return pt.eigenvalues.m2, pt.eigenvalues.l2
 
     return sample
@@ -431,9 +527,10 @@ def unfilled_curve_sampler() -> Callable[[complex], tuple[complex, complex]]:
 def filled_curve_sampler(slope1: Slope) -> Callable[[complex], tuple[complex, complex]]:
     """Sampler of the second-cusp curve with the first cusp filled along slope1.
 
-    Solves the filled base point once; each sample is an independent Newton
-    solve from that point, so the sampler is reentrant. Small slopes
-    put the filled base point outside the chart, hence the norm floor.
+    Solves the filled base point once; each call is an independent Newton
+    solve from that point (one row Newton for an array of s), so the
+    sampler is reentrant. Small slopes put the filled base point outside
+    the chart, hence the norm floor.
     """
     if abs(slope1.p) + abs(slope1.q) < MIN_FILLED_NORM:
         raise SurgeryError(

@@ -9,7 +9,9 @@ translate (criterion 10's geometry oracle), a cone structure reached
 by small continuation steps, the k1scan slopes listed pair by pair,
 verify's branch walks taken one call per substep, and the exponential of a
 jet, against which ``jet_log`` and ``compose`` are checked. None of them is
-used by the library.
+used by the library. Beside them live the test-only helpers that the
+library no longer exports: one continuation step of a representation, the
+longitude eigenvalue of the family, and the cusp relation residuals.
 """
 
 from __future__ import annotations
@@ -33,15 +35,21 @@ from conetube.gluing import (
     sqrt_arguments,
 )
 from conetube.holonomy import (
+    BASE_Z,
+    BASE_Z_SQUARED,
+    HolonomyError,
     Representation,
+    _continued,
+    _max_norm,
+    _product,
     commutator_trace_minus2,
-    continue_representation,
+    peripheral_matrices,
     relation_residuals,
     trace_identity_l1,
     trace_identity_m1,
     y_from_l2,
 )
-from conetube.jets import BranchError, Jet, constant, continue_log, continue_sqrt
+from conetube.jets import BranchError, Jet, _refuse, constant, continue_log, continue_sqrt
 from conetube.surgery import (
     _COMPLETE,
     _TAU_STEP_MIN,
@@ -307,6 +315,40 @@ def coprime_slope_pairs(max_norm: int) -> list[tuple[int, int]]:
             if math.gcd(p, q) == 1:
                 out.append((p, q))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# representations: one step of the z branch, the longitude eigenvalue, and
+# the cusp relations, which no library code calls
+
+
+def continue_representation(x, y, previous: Representation | None = None) -> Representation:
+    """The representation at (x, y), its z continued from ``previous`` (the base if None).
+
+    One ``continue_sqrt`` step; each row of a batch continues from its own
+    row of ``previous``, and the base broadcasts over any batch.
+    """
+    anchor = (BASE_Z_SQUARED, BASE_Z) if previous is None else (previous.z_squared, previous.z)
+    return _continued(x, y, anchor, continue_sqrt)
+
+
+def l2_eigenvalue(x, y):
+    """Second-cusp longitude eigenvalue paired with meridian eigenvalue x.
+
+    ``y_from_l2`` inverts it.
+    """
+    x2 = x * x
+    den = -1.0 + x2 + y
+    _refuse(den == 0, HolonomyError, lambda i: "longitude eigenvalue is singular here")
+    return (-1.0 + x2 - x2 * y) / den
+
+
+def cusp_relation_residuals(rep: Representation) -> tuple:
+    """Commutation defect of each cusp's meridian/longitude pair."""
+    per = peripheral_matrices(rep)
+    r1 = _product(per.meridian1, per.longitude1) - _product(per.longitude1, per.meridian1)
+    r2 = _product(per.meridian2, per.longitude2) - _product(per.longitude2, per.meridian2)
+    return _max_norm(r1), _max_norm(r2)
 
 
 # ---------------------------------------------------------------------------

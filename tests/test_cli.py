@@ -671,6 +671,19 @@ MALFORMED_POLYNOMIALS = {
         '{"terms": [{"dl": -1, "dm": 0, "re": 1.0}, {"dl": 1, "dm": 0, "re": -1.0}]}',
         "negative degree",
     ),
+    # int() read 1.7 as 1 and true as 1, and float() read true as 1.0
+    "degree not integral": (
+        '{"terms": [{"dl": 1.7, "dm": 0, "re": 1.0}, {"dl": 0, "dm": 0, "re": -1.0}]}',
+        "degree 1.7 is not an integer",
+    ),
+    "degree a boolean": (
+        '{"terms": [{"dl": 1, "dm": true, "re": 1.0}, {"dl": 0, "dm": 0, "re": -1.0}]}',
+        "degree True is not an integer",
+    ),
+    "coefficient a boolean": (
+        '{"terms": [{"dl": 1, "dm": 0, "re": true}, {"dl": 0, "dm": 0, "re": -1.0}]}',
+        "coefficient True is not a number",
+    ),
 }
 
 

@@ -258,3 +258,73 @@ def test_discriminant_walk_gives_up_on_a_row_at_the_branch_locus():
         gluing._continued_disc_sqrt(np.array([BASE, u, BASE]), np.array([BASE, v, BASE]))
     assert batch_exc.value.row == 1
     assert batch_exc.value.reason == str(one_exc.value)
+
+
+def _chart_rows(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random chart points within CHART_RADIUS of the base whose walks take two unsplit hops."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-CHART_RADIUS, CHART_RADIUS, size=(6 * count, 4)).view(np.complex128)
+    d = d[(abs(d) <= CHART_RADIUS).all(axis=1)]
+    d = d[[not _two_hops_refused(BASE + a, BASE + b) for a, b in d]][:count]
+    assert len(d) == count
+    return BASE + d[:, 0], BASE + d[:, 1]
+
+
+def test_stacked_hops_equal_the_adaptive_walk_bitwise(monkeypatch):
+    u, v = _chart_rows(5000, 24)
+    walked = gluing._walk_disc_sqrt(u - BASE, v - BASE)
+
+    def no_walk(du, dv):
+        raise AssertionError("a row split its hop")
+
+    monkeypatch.setattr(gluing, "_walk_disc_sqrt", no_walk)
+    assert np.array_equal(gluing._continued_disc_sqrt(u, v), walked)
+
+
+def test_a_row_that_splits_a_hop_sends_every_row_to_the_walk(monkeypatch):
+    u, v = _chart_rows(200, 25)
+    stacked = gluing._continued_disc_sqrt(u, v)
+    walks, walk = [], gluing._walk_disc_sqrt
+    monkeypatch.setattr(gluing, "_walk_disc_sqrt", lambda du, dv: walks.append(1) or walk(du, dv))
+    both = gluing._continued_disc_sqrt(np.append(u, SPLIT[0]), np.append(v, SPLIT[1]))
+    assert walks == [1]
+    assert np.array_equal(both[:-1], stacked)
+    one = gluing._continued_disc_sqrt(*SPLIT)
+    assert abs(both[-1] - one) <= 1e-15 * abs(one)
+
+
+def test_row_log_gradients_equal_the_scalar_ones_per_row():
+    rng = np.random.default_rng(26)
+    du, dv = rng.uniform(-0.2, 0.2, size=(300, 4)).view(np.complex128).T
+    rows = np.asarray(gluing.log_eigenvalue_gradients(solve_shapes(BASE + du, BASE + dv)))
+    assert rows.shape == (4, 2, 300)
+    for i in range(du.size):
+        shapes = solve_shapes(complex(BASE + du[i]), complex(BASE + dv[i]))
+        one = np.array(gluing.log_eigenvalue_gradients(shapes))
+        assert np.abs(rows[..., i] - one).max() <= 1e-13 * np.abs(one).max()
+
+
+def test_a_stacked_root_pass_refuses_every_branch_point_before_any_long_step():
+    # m1 takes a long step at row 5 and l1 hits 0 at row 2: the m1 call alone
+    # refuses row 5, but the stacked pass runs the branch-point guard first
+    args = np.ones((4, 6), dtype=complex)
+    args[0, 5], args[1, 2] = 3.0, 0.0
+    with pytest.raises(BranchError) as first_call:
+        continue_sqrt(args[0], 1.0 + 0j, 1.0 + 0j)
+    assert first_call.value.row == 5
+    with pytest.raises(BranchError) as stacked:
+        gluing._continue_stacked(continue_sqrt, tuple(args), ((1.0 + 0j, 1.0 + 0j),) * 4)
+    assert stacked.value.row == 2
+    assert stacked.value.reason == "square-root argument hit the branch point 0"
+    assert str(stacked.value) == "row 2: square-root argument hit the branch point 0"
+
+
+def test_a_stacked_root_refusal_names_the_row_and_the_scalar_reason():
+    u, v = np.full(5, BASE + 0.01), np.full(5, BASE - 0.01j)
+    u[3], v[3] = FAR
+    with pytest.raises(GluingError) as rows:
+        cusp_eigenvalues(solve_shapes(u, v))
+    with pytest.raises(GluingError) as one:
+        cusp_eigenvalues(solve_shapes(*FAR))
+    assert rows.value.row == 3 and rows.value.reason == str(one.value)
+    assert str(rows.value) == "eigenvalue branch lost: row 3: " + str(one.value).split(": ", 1)[1]

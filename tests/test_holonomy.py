@@ -10,9 +10,6 @@ from conetube import (
     Representation,
     base_representation,
     commutator_trace_minus2,
-    continue_representation,
-    cusp_relation_residuals,
-    l2_eigenvalue,
     peripheral_matrices,
     relation_residuals,
     trace_identity_l1,
@@ -22,6 +19,7 @@ from conetube import (
 from conetube.holonomy import (
     BASE_X, BASE_Y, BASE_Z, _build_representation, _z_radicand, sl2_inverse,
 )
+from tests.oracles import continue_representation, cusp_relation_residuals, l2_eigenvalue
 
 
 def _walk_to(x: complex, y: complex, steps: int = 10):

@@ -304,6 +304,31 @@ def test_continue_sqrt_path_names_the_refused_substep_and_row(bad, reason):
     assert exc.value.row == (4, 2)
 
 
+def test_continue_log_steps_every_row():
+    rng = np.random.default_rng(6)
+    anchor_arg = rng.uniform(-2, 2, size=(40, 2)).view(np.complex128)[:, 0]
+    anchor_value = np.log(anchor_arg) + 2j * math.pi * rng.integers(-2, 3, size=40)
+    arg = anchor_arg * (1 + rng.uniform(-0.3, 0.3, size=(40, 2)).view(np.complex128)[:, 0])
+    rows = continue_log(arg, anchor_arg, anchor_value)
+    for i in range(arg.size):
+        one = continue_log(complex(arg[i]), complex(anchor_arg[i]), complex(anchor_value[i]))
+        assert abs(rows[i] - one) <= 1e-15 * abs(one)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0])
+@pytest.mark.parametrize("row", [0, 2])
+def test_continue_log_refuses_a_bad_row(bad, row):
+    arg = np.array([1.1, 0.9, 1.0 + 0.2j])
+    arg[row] = bad
+    with pytest.raises(BranchError) as batch_exc:
+        continue_log(arg, 1.0, 0.0)
+    assert batch_exc.value.row == row
+    assert str(batch_exc.value).startswith(f"row {row}: ")
+    with pytest.raises(BranchError) as one_exc:
+        continue_log(complex(bad), 1.0, 0.0)
+    assert str(one_exc.value) == batch_exc.value.reason
+
+
 def test_continue_log_tracks_branch():
     w = cmath.exp(2j * math.pi + 0.1)
     val = continue_log(w, w, cmath.log(w) + 2j * math.pi)

@@ -19,9 +19,10 @@ from conetube import (
     jet_log,
     measure_tube,
     solve_cone_structure,
+    unfilled_curve_sampler,
     variable,
 )
-from conetube.holonomy import continue_representation, cusp_relation_residuals, y_from_l2
+from conetube.holonomy import y_from_l2
 from conetube.surgery import (
     _COMPLETE,
     _continue_point,
@@ -34,7 +35,11 @@ from conetube.surgery import (
     _second_cusp_residual,
 )
 from tests.conftest import A1, A2, A3
-from tests.oracles import small_step_cone_structure
+from tests.oracles import (
+    continue_representation,
+    cusp_relation_residuals,
+    small_step_cone_structure,
+)
 
 
 def cone_derivatives_general(curve: GeometricCurve, slope: Slope):
@@ -402,3 +407,76 @@ def test_one_step_continuation_matches_the_small_step_walk(slope1):
                 (tube.R, tube_ref.R), (tube.t, tube_ref.t),
             ):
                 assert abs(x - ref) <= 1e-10 * abs(ref), case
+
+
+# the stencil of expand_from_samples: 0, then h i^k for each default radius
+STENCIL = np.concatenate(([0j], np.outer([1e-2, 5e-3, 2.5e-3], [1, 1j, -1, -1j]).ravel()))
+
+
+def _filled_slopes(count: int, seed: int) -> list[Slope]:
+    """Coprime first-cusp slopes of norm 8 to 80, drawn as the bench's fill block draws them."""
+    rng, slopes = np.random.default_rng(seed), []
+    while len(slopes) < count:
+        norm = int(rng.integers(8, 81))
+        q = int(rng.integers(1, norm + 1))
+        p = (norm - q) * (1 if rng.random() < 0.5 else -1)
+        if math.gcd(p, q) == 1:
+            slopes.append(Slope.make(p, q))
+    return slopes
+
+
+@pytest.mark.parametrize("slope1", [None] + _filled_slopes(22, 24), ids=str)
+def test_row_newton_equals_the_scalar_newton_at_every_stencil_point(slope1):
+    base = _COMPLETE if slope1 is None else _filled_base(slope1)
+    first = _first_cusp_residual(slope1, 1.0)
+    rows = _newton(base, (first, _pinned_meridian(STENCIL)))
+    for i, s in enumerate(STENCIL):
+        one = _newton(base, (first, _pinned_meridian(complex(s))))
+        for name in ("m2", "l2"):
+            got, want = getattr(rows.eigenvalues, name)[i], getattr(one.eigenvalues, name)
+            assert abs(got - want) <= 1e-14 * abs(want), (slope1, s)
+
+
+def test_the_row_sampler_gives_numbers_for_a_number_and_rows_for_an_array():
+    sampler = filled_curve_sampler(Slope.make(12, 1))
+    m, l = sampler(0.0)
+    assert type(m) is complex and type(l) is complex
+    ms, ls = sampler(STENCIL)
+    assert ms.shape == ls.shape == STENCIL.shape
+    assert abs(ms[0] - m) <= 1e-15 and abs(ls[0] - l) <= 1e-15
+
+
+def test_a_filled_curve_asks_its_sampler_once():
+    sampler, calls = filled_curve_sampler(Slope.make(40, 1)), []
+
+    def counted(s):
+        calls.append(s)
+        return sampler(s)
+
+    curve = expand_from_samples(counted, -1, -1)
+    assert len(calls) == 1 and np.array_equal(calls[0], STENCIL)
+    assert abs(curve.involution_defect()) < 1e-6
+
+
+def test_a_row_that_does_not_converge_names_its_s(monkeypatch):
+    import conetube.surgery as surgery
+
+    sampler = filled_curve_sampler(Slope.make(40, 1))
+    # four passes converge the s = 0 row, not the one at 0.01
+    monkeypatch.setattr(surgery, "_NEWTON_MAX_ITER", 4)
+    with pytest.raises(SurgeryError) as one:
+        sampler(0.01)
+    with pytest.raises(SurgeryError) as rows:
+        sampler(np.array([0.0, 0.01]))
+    assert str(one.value) == "filling Newton failed to converge"
+    assert str(rows.value) == f"s = {complex(0.01)!r}: {one.value}"
+
+
+def test_a_refused_row_keeps_the_scalar_type_and_message():
+    # far from the base, the first step of this row leaves the chart
+    sampler = unfilled_curve_sampler()
+    with pytest.raises(GluingError) as one:
+        sampler(0.6j)
+    with pytest.raises(GluingError) as rows:
+        sampler(np.array([0.0, 0.01, 0.6j]))
+    assert str(rows.value) == f"s = {0.6j!r}: {one.value}"
