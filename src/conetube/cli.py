@@ -569,7 +569,12 @@ def cmd_verify(args, parser: _Parser) -> int:
         for c in checks
     ]
     _write(args, payload, header, rows)
-    return 0 if ok else 2
+    if ok:
+        return 0
+    failed = ", ".join(c["check"] for c in checks if not c["pass"])
+    print(f"conetube: verify failed {payload['failed']} of {len(checks)} checks: {failed}",
+          file=sys.stderr)
+    return 2
 
 
 def _tolerance(text: str) -> float:

@@ -14,12 +14,15 @@ form: with ``a = 1-u``, ``b = 1-v`` and ``w = 1-z3`` the first equation gives
 
     b (1-u-v) w^2 + u v (a+b) w - u v a = 0.
 
-Its two roots are ``(-B +- sqrt(disc)) / 2A``. The root is fixed by the
-sheet of ``sqrt(disc)``: it is continued with ``continue_sqrt`` along the
-straight chart segment from the base, where the base root has
-``w = (1-i)/2``, and a hop the anchor refuses is split in two. So a chart
-point has one solution whatever was solved before it, and the nearest
-root is never taken.
+Its two roots are ``(-B +- sqrt(disc)) / 2A``, each in a form that does not
+cancel, and the one taken is the positively oriented one: ``Im z3 > 0`` and
+``Im z4 > 0``, as on the geometric component through the complete
+structure, whose root is ``w = (1-i)/2``. Over the chart exactly one root
+is oriented, by a margin above 0.1 in both imaginary parts, and |disc|
+stays above 0.03; so it is the root that ``sqrt(disc)`` reaches when
+continued along the chart from the base. A point where not exactly one
+root is oriented is refused. A chart point has one solution whatever was
+solved before it, and the nearest root is never taken.
 
 Cusp meridian/longitude eigenvalues are square-root expressions in the
 shapes. Both cusps have eigenvalue -1 at the base, and every square root is
@@ -36,18 +39,16 @@ the returned ``BranchAnchors`` then hold arrays with that batch axis. Both
 paths share the algebra (``_quadratic``, the root choice, ``z4``,
 ``sqrt_arguments``, ``residuals``, ``log_eigenvalue_gradients``). On the
 row path every guard runs on every row with the scalar threshold:
-finiteness, ``CHART_RADIUS``, the degenerate-shape check and every
-``continue_sqrt`` step. The row path takes the discriminant's first
-``_SEGMENT_HOPS`` hops stacked on a leading axis, in one
-``_continue_sqrt_path`` pass, and the four eigenvalue roots stacked in one
-``continue_sqrt`` pass (``_continue_stacked``, which ``surgery`` uses for
-its four logs too). Where a row would split a hop, every row walks the
-discriminant instead, each halving its own hop down to ``_MIN_HOP`` as the
-scalar walk does; both walks give the same bits. One failing row refuses
-the batch with the scalar path's exception type, and the message starts
-``row i:``; the error carries ``row`` and ``reason``. A stacked pass runs
-each guard over all its quantities before the next guard, so where one
-batch has two faults the one reported can differ from the scalar order.
+finiteness, ``CHART_RADIUS``, the root's orientation, the degenerate-shape
+check and every ``continue_sqrt`` step. The row path takes its square
+roots with ``np.sqrt`` where the scalar path takes ``cmath.sqrt``, and
+continues the four eigenvalue roots stacked in one ``continue_sqrt`` pass
+(``_continue_stacked``, which ``surgery`` uses for its four logs too). One
+failing row refuses the batch with the scalar path's exception type, and
+the message starts ``row i:``; the error carries ``row`` and ``reason``. A
+stacked pass runs each guard over all its quantities before the next
+guard, so where one batch has two faults the one reported can differ from
+the scalar order.
 
 Walks. Shapes whose arrays carry a leading substep axis, one substep of a
 walk from the base per index, go through ``_walk_eigenvalues``: the same
@@ -58,24 +59,16 @@ names ``(substep, row)``.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
 
 from .config import TOLERANCES, ensure_finite
-from .jets import _MAX_REL_STEP, BranchError, _continue_sqrt_path, _refuse, continue_sqrt
+from .jets import BranchError, _continue_sqrt_path, _refuse, continue_sqrt
 
 BASE_SHAPE = complex(0.5, 0.5)
 CHART_RADIUS = 0.35
-# sqrt of the quadratic's discriminant at the base: its root is w = (1-i)/2
-_BASE_DISC = -0.5j
-_BASE_DISC_SQRT = complex(-0.5, 0.5)
-# the discriminant walk starts with this many hops along the segment, and
-# gives up once a hop would be shorter than _MIN_HOP of it
-_SEGMENT_HOPS = 2
-_MIN_HOP = 2.0**-20
-# where those hops end, summed hop by hop as the walk sums them
-_HOP_ENDS = np.minimum(1.0, np.cumsum(np.full(_SEGMENT_HOPS, 1.0 / _SEGMENT_HOPS)))
 
 
 class GluingError(ValueError):
@@ -134,82 +127,46 @@ def _quadratic(u: complex, v: complex) -> tuple[complex, complex, complex]:
     return (1 - v) * (1 - u - v), uv * (2 - u - v), -uv * (1 - u)
 
 
-def _continued_disc_sqrt(u, v):
-    """sqrt(disc) at (u, v), continued along the chart segment from the base.
+def _oriented_root(u, v):
+    """(z3, z4) of the one root at (u, v) with Im z3 > 0 and Im z4 > 0.
 
-    Rows of arrays first take the ``_SEGMENT_HOPS`` first hops stacked on a
-    leading axis, in one ``_continue_sqrt_path`` pass. If any row would
-    split a hop, every row walks instead side by side, each with its own
-    hop: a row whose hop the anchor refuses halves it and retries, as one
-    point does, while the other rows step on, and ``continue_sqrt`` checks
-    every step taken. Both give the same bits.
+    Both roots come from one square root of the discriminant. A point where
+    not exactly one root is positively oriented is refused; a row batch
+    names its first such row.
     """
-    du, dv = u - BASE_SHAPE, v - BASE_SHAPE
-    if type(du) is complex:
-        t, arg, value = 0.0, _BASE_DISC, _BASE_DISC_SQRT
-        hop = 1.0 / _SEGMENT_HOPS
-        while t < 1.0:
-            nxt = min(1.0, t + hop)
-            qa, qb, qc = _quadratic(BASE_SHAPE + nxt * du, BASE_SHAPE + nxt * dv)
-            disc = qb * qb - 4 * qa * qc
-            try:
-                value = continue_sqrt(disc, arg, value)
-            except BranchError as exc:
-                hop /= 2.0
-                if hop < _MIN_HOP:
-                    raise GluingError(f"discriminant branch lost on the chart segment: {exc}") from exc
-                continue
-            t, arg = nxt, disc
-        return value
-    # most rows take the first hops unsplit: all of them at once, in one pass
-    ends = _HOP_ENDS.reshape(_HOP_ENDS.shape + (1,) * du.ndim)
-    qa, qb, qc = _quadratic(BASE_SHAPE + ends * du, BASE_SHAPE + ends * dv)
-    try:
-        return _continue_sqrt_path(qb * qb - 4 * qa * qc, _BASE_DISC, _BASE_DISC_SQRT)[-1]
-    except BranchError:
-        return _walk_disc_sqrt(du, dv)  # some row would split a hop
-
-
-def _walk_disc_sqrt(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """The row walk of ``_continued_disc_sqrt`` to the offsets (du, dv), a hop per row."""
-    t, hop = np.zeros(du.shape), np.full(du.shape, 1.0 / _SEGMENT_HOPS)
-    arg, value = np.full(du.shape, _BASE_DISC), np.full(du.shape, _BASE_DISC_SQRT)
-    live = t < 1.0
-    while live.any():
-        nxt = np.minimum(1.0, t + hop)
-        qa, qb, qc = _quadratic(BASE_SHAPE + nxt * du, BASE_SHAPE + nxt * dv)
-        disc = qb * qb - 4 * qa * qc
-        # the rows whose hop continue_sqrt would refuse halve it, all at once
-        step = abs(disc / arg - 1.0)
-        long = live & (step > _MAX_REL_STEP)
-        hop = np.where(long, hop / 2.0, hop)
-        _refuse(
-            hop < _MIN_HOP,
-            GluingError,
-            lambda i: f"discriminant branch lost on the chart segment: relative step "
-            f"{step[i]:.3f} exceeds {_MAX_REL_STEP}; subdivide the path",
-        )
-        # the other live rows step; the rest hand their own anchor in, a step of 0
-        go = live & ~long
-        value = np.where(go, continue_sqrt(np.where(go, disc, arg), arg, value), value)
-        t, arg = np.where(go, nxt, t), np.where(go, disc, arg)
-        live = t < 1.0
-    return value
-
-
-def _root(qa, qb, qc, root):
-    """The root w of A w^2 + B w + C on the sheet of ``root`` = sqrt(disc)."""
-    # (-B + root) / 2A and 2C / (-B - root) are the same root; divide by
-    # the larger of -B +- root so that neither cancels
+    qa, qb, qc = _quadratic(u, v)
+    disc = qb * qb - 4 * qa * qc
+    scalar = type(disc) is complex
+    root = cmath.sqrt(disc) if scalar else np.sqrt(disc)
+    # the roots are (-B +- root) / 2A = 2C / (-B -+ root): each is taken with
+    # the larger of -B +- root as its divisor or dividend, so neither cancels
     plus, minus = root - qb, -root - qb
     larger = abs(plus) >= abs(minus)
-    if type(larger) is bool:
-        return plus / (2 * qa) if larger else 2 * qc / minus
-    return np.where(larger, plus, 2 * qc) / np.where(larger, 2 * qa, minus)
+    big = (plus if larger else minus) if scalar else np.where(larger, plus, minus)
+    w1, w2 = big / (2 * qa), 2 * qc / big
+    z3, z4 = 1 - w1, 1 - (1 - v) * w1 / (1 - u)
+    y3, y4 = 1 - w2, 1 - (1 - v) * w2 / (1 - u)
+    first = (z3.imag > 0) & (z4.imag > 0)
+    second = (y3.imag > 0) & (y4.imag > 0)
+    # where first == second, 2 * first roots are oriented: 0 or 2
+    if scalar:
+        if first == second:
+            raise GluingError(_unoriented(u, v, 2 * first))
+        return (z3, z4) if first else (y3, y4)
+    _refuse(
+        first == second,
+        GluingError,
+        lambda i: _unoriented(complex(u[i]), complex(v[i]), 2 * int(first[i])),
+    )
+    return np.where(first, z3, y3), np.where(first, z4, y4)
+
+
+def _unoriented(u: complex, v: complex, count: int) -> str:
+    return f"{count} of the 2 roots at chart point ({u!r}, {v!r}) are positively oriented, not 1"
 
 
 def solve_shapes(u, v) -> TetShapes:
-    """Solve the chart point (z1, z2) = (u, v) on the sheet continued from the base.
+    """Solve the chart point (z1, z2) = (u, v): the positively oriented root.
 
     ``u`` and ``v`` are numbers, or arrays of chart points (one per row) on
     the row path of the module docstring.
@@ -232,10 +189,8 @@ def solve_shapes(u, v) -> TetShapes:
             raise GluingError(
                 f"chart coordinate {radius:.3f} from base exceeds radius {CHART_RADIUS}"
             )
-    qa, qb, qc = _quadratic(u, v)
-    w = _root(qa, qb, qc, _continued_disc_sqrt(u, v))
-    z4 = 1 - (1 - v) * w / (1 - u)
-    return TetShapes(u, v, 1 - w, z4).check_nondegenerate()
+    z3, z4 = _oriented_root(u, v)
+    return TetShapes(u, v, z3, z4).check_nondegenerate()
 
 
 def _shape_derivatives(s: TetShapes) -> tuple[complex, complex, complex, complex]:

@@ -269,6 +269,10 @@ class _Affine:
     def value(self, x: tuple[complex, ...]) -> complex:
         return _combination(self.coeffs, x) + self.const
 
+    def scale(self, x: tuple[complex, ...]) -> float:
+        """sum |c_k| |x_k| + |const|: the size of the terms, which the value's rounding grows with."""
+        return sum(abs(c) * abs(xk) for c, xk in zip(self.coeffs, x) if c) + abs(self.const)
+
     def gradient(self, grads: tuple[tuple[complex, complex], ...]) -> tuple[complex, complex]:
         return (
             _combination(self.coeffs, [g[0] for g in grads]),
@@ -364,6 +368,23 @@ def _continue_point(prev: VarietyPoint, u: complex, v: complex) -> VarietyPoint:
     )
 
 
+def _scaled_small(residual: _Residual, x: tuple, f1, f2):
+    """Whether each residual is below ``TOLERANCES.newton`` times max(1, its scale).
+
+    The scale bounds the rounding of the residual's sum: a filled cusp's
+    p log(-m) + q log(-l) - pi i sums terms of modulus about pi to 0, so its
+    bound is about 2 pi times the absolute one, room for the rounding that
+    grows with |p|. Newton calls this only where the absolute test fails,
+    so a residual that passes that test never forms its scale. Rows are
+    judged elementwise.
+    """
+    tol = TOLERANCES.newton
+    a1, a2 = abs(f1), abs(f2)
+    return ((a1 < tol) | (a1 < tol * residual[0].scale(x))) & (
+        (a2 < tol) | (a2 < tol * residual[1].scale(x))
+    )
+
+
 def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
     """The converged point of residual = 0, Newton from start on start's branches.
 
@@ -379,7 +400,7 @@ def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
         pt = _continue_point(start, u, v) if k else start
         x = _coordinates(pt)
         f1, f2 = residual[0].value(x), residual[1].value(x)
-        if polish or max(abs(f1), abs(f2)) < tol:
+        if polish or max(abs(f1), abs(f2)) < tol or _scaled_small(residual, x, f1, f2):
             if polish:
                 return pt
             polish = True
@@ -415,7 +436,8 @@ def _row_newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
         done |= polish
         if done.all():
             return pt
-        polish |= np.maximum(abs(f1), abs(f2)) < tol
+        small = np.maximum(abs(f1), abs(f2)) < tol
+        polish |= small if small.all() else _scaled_small(residual, x, f1, f2)
         (j11, j12), (j21, j22) = _jacobian(residual, pt)
         det = j11 * j22 - j12 * j21
         live = ~done

@@ -81,8 +81,14 @@ def measure_tube(structure: SolvedStructure) -> TubeMeasurement:
     if theta <= 0:
         raise TubeError("theta = 0 is the cusp limit: no tube to measure")
     ev = structure.point.eigenvalues
-    trc = -y_from_l2(ev.m2, ev.l2)
     trp = ev.m2 + 1.0 / ev.m2
+    # before y_from_l2: where m2 rounds to -1, so does l2, on its exceptional locus
+    if abs(trp * trp - 4.0) < TOLERANCES.singular:
+        raise TubeError(
+            f"theta {theta:g} is below what the float pipeline resolves: "
+            "the peripheral element is parabolic to rounding"
+        )
+    trc = -y_from_l2(ev.m2, ev.l2)
     c2r = tube_cosh2R(trc, trp)
     R = 0.5 * math.acosh(max(1.0, c2r))
     sl = structure.slope2

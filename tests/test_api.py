@@ -36,7 +36,10 @@ GONE = {
     ],
     curves: ["involution_defect", "_branch_coefficients"],
     curves.GeometricCurve: ["is_involution_symmetric"],
-    gluing: ["alternate_eigenvalues"],
+    gluing: [
+        "alternate_eigenvalues", "_continued_disc_sqrt", "_walk_disc_sqrt", "_root", "_BASE_DISC",
+        "_BASE_DISC_SQRT", "_SEGMENT_HOPS", "_MIN_HOP", "_HOP_ENDS", "_MAX_REL_STEP",
+    ],
     holonomy: [
         "build_representation", "z_radicand", "RepresentationFamily", "continue_representation",
         "cusp_relation_residuals", "l2_eigenvalue",

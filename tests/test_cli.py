@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetube import (
     TOLERANCES,
@@ -139,6 +142,18 @@ def test_a_refused_tube_names_the_theta_reached(capsys):
     assert re.match(r"conetube: theta 0\.3\d* of 0\.5 reached: chart coordinate ", err), err
 
 
+@pytest.mark.parametrize("theta", ["1e-300", "1e-9", "5e-8"])
+def test_a_theta_below_float_resolution_says_so(capsys, theta):
+    code, out, err = run(capsys, "tube", "--p2", "1", "--q2", "0", "--theta", theta)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"conetube: theta {float(theta):g} is below what the float pipeline resolves: "
+        "the peripheral element is parabolic to rounding\n"
+    )
+    # the smallest theta that README.md states for this slope
+    assert run(capsys, "tube", "--p2", "1", "--q2", "0", "--theta", "2e-7")[0] == 0
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--points", "5")
     assert code == 0
@@ -160,9 +175,10 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_impossible_tol_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--points", "5", "--tol", "1e-30")
+    code, out, err = run(capsys, "verify", "--points", "5", "--tol", "1e-30")
     assert code == 2
     assert json.loads(out)["pass"] is False
+    assert re.fullmatch(r"conetube: verify failed [1-4] of 4 checks: [a-z_, ]+\n", err), err
 
 
 def test_negative_seed_exits_3(capsys):
@@ -733,3 +749,65 @@ def test_readme_example_runs(tmp_path, monkeypatch, line):
     argv = shlex.split(line)[1:]
     assert main(argv + ["--output", str(target)]) == 0
     assert json.loads(target.read_text())["command"] == argv[0]
+
+
+# slopes: small ones, the float-range ones up to 10^80, and their extremes
+_SLOPE = st.one_of(
+    st.integers(-12, 12), st.integers(-(10**80), 10**80), st.sampled_from([10**80, -(10**80)])
+)
+# --theta and --tol values: the edges of the float range and of each accepted interval
+_REAL = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-310", "1e-300", "1e-9", "0.5"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+)
+# pairs: any two slopes, most of them refused, and coprime ones that get past the parser
+_PAIR = st.one_of(
+    st.tuples(_SLOPE, _SLOPE),
+    st.sampled_from([(1, 0), (0, 1), (-2, 1), (9, 1), (5, 3), (10**80 + 1, 10**80), (1, -(10**80))]),
+)
+_SLOPE1 = st.one_of(
+    st.just([]),
+    st.just(["--unfilled"]),
+    _PAIR.map(lambda pq: ["--p1", str(pq[0]), "--q1", str(pq[1])]),
+)
+_SLOPE2 = _PAIR.map(lambda pq: ["--p2", str(pq[0]), "--q2", str(pq[1])])
+_TOL = st.one_of(st.just([]), _REAL.map(lambda t: ["--tol", t]))
+_ARGV = st.one_of(
+    _TOL.map(lambda tol: ["base", *tol]),
+    _SLOPE1.map(lambda s1: ["acoeffs", *s1]),
+    st.tuples(_SLOPE1, _SLOPE2, _TOL).map(lambda a: ["kcoeffs", *a[0], *a[1], *a[2]]),
+    # the scan's cost grows with --max squared: small norms, and those above the cap
+    st.one_of(st.integers(-2, 4), st.integers(cli._K1SCAN_MAX_NORM + 1, 10**80)).map(
+        lambda n: ["k1scan", "--max", str(n)]
+    ),
+    st.lists(_SLOPE, min_size=1, max_size=3).map(lambda ns: ["converge", "--n", *map(str, ns)]),
+    st.tuples(_SLOPE1, _SLOPE2, st.one_of(_REAL, st.floats(1e-12, 0.5).map(repr))).map(
+        lambda a: ["tube", *a[0], *a[1], "--theta", a[2]]
+    ),
+    st.tuples(st.integers(-1, 3), st.integers(-1, 2**32), _TOL).map(
+        lambda a: ["verify", "--points", str(a[0]), "--seed", str(a[1]), *a[2]]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_ARGV, missing_output=st.booleans())
+def test_every_input_exits_0_2_or_3_with_a_one_line_reason(argv, missing_output):
+    if missing_output:
+        argv = argv + ["--output", str(Path(__file__).parent / "no such directory" / "out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    elif code == 2:
+        assert len(lines) == 1 and lines[0].startswith("conetube: "), lines
+    else:
+        assert code == 3, (code, lines)
+        assert lines[0].startswith("usage: conetube "), lines
+        assert re.match(rf"conetube {argv[0]}: error: .", lines[-1]), lines

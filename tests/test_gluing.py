@@ -157,8 +157,8 @@ def test_base_jacobian_conditioning():
     assert np.isfinite(cond) and cond < 1e6
 
 
-# the chart-edge point above, and another whose first pass of two hops the
-# discriminant's anchor refuses
+# the chart-edge point above, and another where sqrt(disc) cannot be
+# continued from the base in two hops
 EDGE = (0.395 + 0.214j, 0.577 + 0.179j)
 SPLIT = (0.457 + 0.617j, 0.606 + 0.716j)
 
@@ -248,49 +248,62 @@ def test_degenerate_row_refuses_the_batch(bad):
     _shapes_with(BASE, 3).check_nondegenerate()
 
 
-def test_discriminant_walk_gives_up_on_a_row_at_the_branch_locus():
-    # the discriminant vanishes here (0.40 from the base, outside the chart),
-    # so no hop into the endpoint is short enough
+def test_the_root_choice_refuses_the_branch_locus():
+    # the discriminant vanishes here (0.40 from the base, outside the chart):
+    # the two roots nearly coincide, so their orientation cannot tell them apart
     u, v = 0.8109969658173808 + 0.24844907584178824j, 0.45734774735865463 + 0.8467098623715027j
-    with pytest.raises(GluingError, match="discriminant branch lost") as one_exc:
-        gluing._continued_disc_sqrt(u, v)
-    with pytest.raises(GluingError, match="^row 1: discriminant branch lost") as batch_exc:
-        gluing._continued_disc_sqrt(np.array([BASE, u, BASE]), np.array([BASE, v, BASE]))
+    assert abs(_discriminant(u, v, 1.0)) < 1e-15
+    with pytest.raises(GluingError, match="positively oriented, not 1") as one_exc:
+        gluing._oriented_root(u, v)
+    with pytest.raises(GluingError, match="^row 1: ") as batch_exc:
+        gluing._oriented_root(np.array([BASE, u, BASE]), np.array([BASE, v, BASE]))
     assert batch_exc.value.row == 1
     assert batch_exc.value.reason == str(one_exc.value)
 
 
-def _chart_rows(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random chart points within CHART_RADIUS of the base whose walks take two unsplit hops."""
-    rng = np.random.default_rng(seed)
-    d = rng.uniform(-CHART_RADIUS, CHART_RADIUS, size=(6 * count, 4)).view(np.complex128)
-    d = d[(abs(d) <= CHART_RADIUS).all(axis=1)]
-    d = d[[not _two_hops_refused(BASE + a, BASE + b) for a, b in d]][:count]
-    assert len(d) == count
-    return BASE + d[:, 0], BASE + d[:, 1]
+def _both_roots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(z3, z4) of both roots of the z3 quadratic at each chart point, shape (2, 2, rows)."""
+    a, b = 1 - u, 1 - v
+    qa, qb, qc = b * (a * b - u * v), u * v * (a + b), -u * v * a
+    root = np.sqrt(qb * qb - 4 * qa * qc)
+    w = np.array([(-qb + root) / (2 * qa), (-qb - root) / (2 * qa)])
+    return np.array([1 - w, 1 - b * w / a]).transpose(1, 0, 2)
 
 
-def test_stacked_hops_equal_the_adaptive_walk_bitwise(monkeypatch):
-    u, v = _chart_rows(5000, 24)
-    walked = gluing._walk_disc_sqrt(u - BASE, v - BASE)
+def test_exactly_one_root_is_positively_oriented_over_the_chart():
+    # z3, z4 and 1/disc are holomorphic on the chart, so the least Im z3,
+    # Im z4 and |disc| over it are taken on the torus |u-b| = |v-b| = radius;
+    # a quarter of the sample lies there
+    rng = np.random.default_rng(25)
+    n = 100_000
+    r = CHART_RADIUS * np.sqrt(rng.uniform(size=(2, n)))
+    r[:, : n // 4] = CHART_RADIUS
+    u, v = BASE + r * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    roots = _both_roots(u, v)
+    margin = roots.imag.min(axis=1)  # the smaller of Im z3, Im z4 of each root
+    oriented = margin > 0
+    assert np.all(oriented.sum(axis=0) == 1)
+    assert margin.max(axis=0).min() >= 0.1
+    assert margin.min(axis=0).max() <= -0.1
+    assert np.abs(_discriminant(u, v, 1.0)).min() >= 0.03
+    chosen = roots[oriented.argmax(axis=0), :, np.arange(n)].T
+    assert np.abs(np.array(gluing._oriented_root(u, v)) - chosen).max() <= 1e-14
 
-    def no_walk(du, dv):
-        raise AssertionError("a row split its hop")
 
-    monkeypatch.setattr(gluing, "_walk_disc_sqrt", no_walk)
-    assert np.array_equal(gluing._continued_disc_sqrt(u, v), walked)
-
-
-def test_a_row_that_splits_a_hop_sends_every_row_to_the_walk(monkeypatch):
-    u, v = _chart_rows(200, 25)
-    stacked = gluing._continued_disc_sqrt(u, v)
-    walks, walk = [], gluing._walk_disc_sqrt
-    monkeypatch.setattr(gluing, "_walk_disc_sqrt", lambda du, dv: walks.append(1) or walk(du, dv))
-    both = gluing._continued_disc_sqrt(np.append(u, SPLIT[0]), np.append(v, SPLIT[1]))
-    assert walks == [1]
-    assert np.array_equal(both[:-1], stacked)
-    one = gluing._continued_disc_sqrt(*SPLIT)
-    assert abs(both[-1] - one) <= 1e-15 * abs(one)
+def test_the_oriented_root_is_the_one_continued_from_the_base():
+    # the reference continues sqrt(disc) from the base root w = (1-i)/2
+    # along the straight chart segment, in 400 steps
+    rng = np.random.default_rng(26)
+    d = rng.uniform(-CHART_RADIUS, CHART_RADIUS, size=(200, 4)).view(np.complex128)
+    d = d[(abs(d) <= CHART_RADIUS).all(axis=1)][:48]
+    points = [EDGE, SPLIT] + [(BASE + a, BASE + b) for a, b in d]
+    assert len(points) == 50
+    for u, v in points:
+        root = sqrt_along_path([_discriminant(u, v, k / 400) for k in range(401)], -0.5 + 0.5j)
+        qa = (1 - v) * (1 - u - v)
+        qb = u * v * (2 - u - v)
+        z3 = 1 - (-qb + root) / (2 * qa)
+        assert abs(solve_shapes(u, v).z3 - z3) <= 1e-12
 
 
 def test_row_log_gradients_equal_the_scalar_ones_per_row():

@@ -282,6 +282,14 @@ def test_filled_structure_near_chart_edge():
     assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
 
+@pytest.mark.parametrize("p1", [512, 1024])
+def test_a_large_filled_slope_converges_on_its_residuals_scale(p1):
+    # p1 log(-m1) carries rounding of order p1 eps, which stalls the filling
+    # residual above the absolute Newton bound at these slopes
+    curve = expand_from_samples(filled_curve_sampler(Slope.make(p1, 1)), -1, -1)
+    assert abs(curve.involution_defect()) < 1e-10
+
+
 def _central_jacobian(prev, residual, u, v, h=1e-6):
     """d(residual)/d(u, v) by central differences: the residuals are holomorphic."""
 
@@ -327,8 +335,8 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     # 33 when each solve re-solved its start and theta began at a step of 0.01
     assert len(calls) <= 11
     ev = structure.point.eigenvalues
-    assert ev.m2 == complex(-0.9689124217106447, -0.24740395925452288)
-    assert ev.l2 == complex(-0.5376870547896763, -0.29373977678837476)
+    assert ev.m2 == complex(-0.9689124217106448, -0.24740395925452296)
+    assert ev.l2 == complex(-0.5376870547896764, -0.2937397767883748)
     # the small-step walk's bits, a different path to the same point
     assert abs(ev.m2 - complex(-0.9689124217106448, -0.24740395925452285)) <= 4.5e-16
     assert abs(ev.l2 - complex(-0.5376870547896765, -0.2937397767883748)) <= 4.5e-16
