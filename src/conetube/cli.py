@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import functools
 import itertools
 import json
@@ -31,18 +30,16 @@ from .curves import (
 from .gluing import (
     BASE_SHAPES,
     GluingError,
-    _walk_eigenvalues,
     cusp_eigenvalues,
     residuals,
     solve_shapes,
 )
 from .holonomy import (
     HolonomyError,
-    Representation,
-    _walk_representation,
     base_representation,
     commutator_trace_minus2,
     relation_residuals,
+    representation_at,
     trace_identity_l1,
     trace_identity_m1,
 )
@@ -76,9 +73,10 @@ _ERRORS = (
 _UNFILLED_HINT = 2 + 2j
 _VERIFY_SEED = 20250819
 # verify's points per batch: every run of up to this many points is one pass,
-# and a walk's pass holds 8 substeps of each; 256 keeps the bench's peak RSS
-# where the per-substep passes of 1,024 points had it
+# which bounds the arrays a pass holds whatever --points is
 _VERIFY_BLOCK = 256
+# verify's largest --points: 10^6 points take about 6.5 s on a 2-vCPU Xeon
+_VERIFY_MAX_POINTS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -454,19 +452,13 @@ def cmd_tube(args, parser: _Parser) -> int:
 
 @contextlib.contextmanager
 def _points_from(start: int):
-    """Name the drawn point, not the block row, in a refusal of a block of points.
-
-    A walk's pass refuses a ``(substep, row)``; its substep is named too.
-    """
+    """Name the drawn point, not the block row, in a refusal of a block of points."""
     try:
         yield
     except ValueError as exc:
         row = getattr(exc, "row", None)
         if row is None:
             raise
-        if isinstance(row, tuple):
-            substep, row = row
-            raise type(exc)(f"point {start + row}: substep {substep + 1}: {exc.reason}") from exc
         raise type(exc)(f"point {start + row}: {exc.reason}") from exc
 
 
@@ -476,11 +468,9 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
     Points go through in blocks of ``_VERIFY_BLOCK`` rows, each block as one
     batch, and each check draws its points in order, block after block:
     the same draws as one ``(points, 4)`` uniform array, so a seed gives
-    the same points whatever the block size. The 8-substep walks from the
-    base take their substeps as a leading array axis: one pass builds or
-    solves every (substep, point) of a block, runs every guard on each, and
-    continues each branch from the substep before by a product along that
-    axis. A refusal names the point and the substep.
+    the same points whatever the block size. Each point is checked in one
+    pass: its shapes, eigenvalues and z branch are fixed by the point
+    alone, with no walk from the base. A refusal names the point.
     """
     rng = np.random.default_rng(seed)
     checks = []
@@ -503,8 +493,6 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
             yield start, pair[:, 0], pair[:, 1]
 
     base = BASE_SHAPES.z1
-    # the walks from the base take 8 substeps, a leading axis of each pass
-    steps = (np.arange(1, 9) / 8.0)[:, None]
 
     # gluing residuals on solver outputs
     worst = 0.0
@@ -514,29 +502,25 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
         worst = max(worst, float(np.maximum(abs(r1), abs(r2)).max()))
     record("gluing_residual", TOLERANCES.algebraic, worst)
 
-    # holonomy group relations near the base, walking the z branch through
-    # the substeps; then the commutator trace identity on the same matrices
+    # holonomy group relations near the base, on the base's z branch; then
+    # the commutator trace identity on the same matrices
     worst_group = worst_comm = 0.0
     for start, dx, dy in blocks(0.12):
-        x, y = -1.0 + dx, 2j + dy
         with _points_from(start):
-            walk = _walk_representation(-1.0 + steps * (x + 1.0), 2j + steps * (y - 2j))
-            rep = Representation(*(getattr(walk, f.name)[-1] for f in dataclasses.fields(walk)))
+            rep = representation_at(-1.0 + dx, 2j + dy)
             worst_group = max(worst_group, float(np.maximum(*relation_residuals(rep)).max()))
             comm = abs(commutator_trace_minus2(rep) + rep.y)
         worst_comm = max(worst_comm, float(comm.max()))
     record("group_relations", TOLERANCES.group_relation, worst_group)
     record("commutator_trace", TOLERANCES.commutator_trace, worst_comm)
 
-    # cusp trace relations on variety samples, at the walks' last substep;
-    # both identities are singular at the base point itself, so evaluate
-    # strictly off base
+    # cusp trace relations on variety samples; both identities are singular
+    # at the base point itself, so evaluate strictly off base
     worst = 0.0
     for start, du, dv in blocks(0.08):
-        u, v = base + du, base + dv
         with _points_from(start):
-            ev = _walk_eigenvalues(solve_shapes(base + steps * (u - base), base + steps * (v - base)))
-            m1, l1, m2, l2 = ev.m1[-1], ev.l1[-1], ev.m2[-1], ev.l2[-1]
+            ev = cusp_eigenvalues(solve_shapes(base + du, base + dv))
+            m1, l1, m2, l2 = ev.m1, ev.l1, ev.m2, ev.l2
             lhs_m = (m1 + 1.0 / m1) ** 2
             lhs_l = l1 + 1.0 / l1
             res = np.maximum(
@@ -551,6 +535,8 @@ def _verify_checks(points: int, seed: int, tol_override: float | None) -> list[d
 def cmd_verify(args, parser: _Parser) -> int:
     if args.points < 1:
         parser.error("--points must be positive")
+    if args.points > _VERIFY_MAX_POINTS:
+        parser.error(f"--points must be at most {_VERIFY_MAX_POINTS}")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     checks = _verify_checks(args.points, args.seed, args.tol)

@@ -25,47 +25,44 @@ root is oriented is refused. A chart point has one solution whatever was
 solved before it, and the nearest root is never taken.
 
 Cusp meridian/longitude eigenvalues are square-root expressions in the
-shapes. Both cusps have eigenvalue -1 at the base, and every square root is
-1 there. ``cusp_eigenvalues`` continues each root from given
-``BranchAnchors`` and returns, with the eigenvalues, the anchors that
-continue them further: a walk hands each point's anchors to the next, so
-the sheet is continued, never re-chosen, and no anchor is ever mutated.
+shapes, and both cusps have eigenvalue -1 at the base. ``cusp_logs`` gives
+their logs, log(-m1), log(-l1), log(-m2) and log(-l2), in closed form.
+Each is a half-integer combination of the logs of four radicands
+(``sqrt_arguments``), and on the positively oriented shapes every radicand
+log is a sum of the shapes' own principal logs, Log z_k and Log(1 - z_k):
+there ``arg z_k`` lies in (0, pi) and ``arg(1 - z_k)`` in (-pi, 0), so none
+of them meets its cut. These are Neumann and Zagier's log-parameters
+(Topology 24, 1985), and they vanish at the base, as the continued logs
+do. Each radicand log is taken as the principal log of the radicand,
+which keeps its digits near 0, moved by the multiple of 2 pi i that puts
+it on the sum's branch. So the branch is fixed by the orientation guard of
+``solve_shapes``, never chosen by a walk: a point has one set of logs
+whatever was solved before it. ``cusp_eigenvalues`` is -exp of the logs.
 
-Batches. ``solve_shapes``, ``TetShapes.check_nondegenerate`` and
-``cusp_eigenvalues`` choose their mechanics from the type of their input.
-Python numbers take the scalar path. ndarrays of chart points take the row
-path: each row is one point, and ``TetShapes``, ``CuspEigenvalues`` and
-the returned ``BranchAnchors`` then hold arrays with that batch axis. Both
-paths share the algebra (``_quadratic``, the root choice, ``z4``,
-``sqrt_arguments``, ``residuals``, ``log_eigenvalue_gradients``). On the
-row path every guard runs on every row with the scalar threshold:
-finiteness, ``CHART_RADIUS``, the root's orientation, the degenerate-shape
-check and every ``continue_sqrt`` step. The row path takes its square
-roots with ``np.sqrt`` where the scalar path takes ``cmath.sqrt``, and
-continues the four eigenvalue roots stacked in one ``continue_sqrt`` pass
-(``_continue_stacked``, which ``surgery`` uses for its four logs too). One
-failing row refuses the batch with the scalar path's exception type, and
-the message starts ``row i:``; the error carries ``row`` and ``reason``. A
-stacked pass runs each guard over all its quantities before the next
-guard, so where one batch has two faults the one reported can differ from
-the scalar order.
-
-Walks. Shapes whose arrays carry a leading substep axis, one substep of a
-walk from the base per index, go through ``_walk_eigenvalues``: the same
-eigenvalue formulas as ``cusp_eigenvalues``, with each root continued
-along that axis by ``jets._continue_sqrt_path`` in one pass. A refusal
-names ``(substep, row)``.
+Batches. ``solve_shapes``, ``TetShapes.check_nondegenerate``,
+``cusp_logs`` and ``cusp_eigenvalues`` choose their mechanics from the
+type of their input. Python numbers take the scalar path (``cmath``).
+ndarrays of chart points take the row path (numpy): each row is one point,
+and ``TetShapes`` and ``CuspEigenvalues`` then hold arrays with that batch
+axis. Both paths share the algebra (``_quadratic``, the root choice,
+``z4``, ``sqrt_arguments``, ``residuals``, ``log_eigenvalue_gradients``,
+the cusp logs). On the row path every guard runs on every row with the
+scalar threshold: finiteness, ``CHART_RADIUS``, the root's orientation and
+the degenerate-shape check. One failing row refuses the batch with the
+scalar path's exception type, and the message starts ``row i:``; the
+error carries ``row`` and ``reason``.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 
 import numpy as np
 
 from .config import TOLERANCES, ensure_finite
-from .jets import BranchError, _continue_sqrt_path, _refuse, continue_sqrt
+from .jets import _refuse
 
 BASE_SHAPE = complex(0.5, 0.5)
 CHART_RADIUS = 0.35
@@ -73,14 +70,6 @@ CHART_RADIUS = 0.35
 
 class GluingError(ValueError):
     pass
-
-
-def _stack(values: tuple) -> np.ndarray:
-    """Numbers or rows stacked on a new leading axis, broadcast to one shape."""
-    out = np.empty((len(values),) + np.broadcast(*values).shape, dtype=complex)
-    for k, value in enumerate(values):
-        out[k] = value
-    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,31 +197,13 @@ def _shape_derivatives(s: TetShapes) -> tuple[complex, complex, complex, complex
 
 
 @dataclasses.dataclass(frozen=True)
-class BranchAnchors:
-    """(argument, value) of each cusp square root at one point; the default is the base.
-
-    Numbers for one point; on the row path, arrays with one anchor per row.
-    The base anchors broadcast over any batch.
-    """
-
-    m1: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
-    l1: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
-    m2: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
-    l2: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
-
-
-@dataclasses.dataclass(frozen=True)
 class CuspEigenvalues:
-    """Meridian/longitude holonomy eigenvalues of the two cusps.
-
-    ``anchors`` holds the square roots continued to these eigenvalues' point.
-    """
+    """Meridian/longitude holonomy eigenvalues of the two cusps."""
 
     m1: complex
     l1: complex
     m2: complex
     l2: complex
-    anchors: BranchAnchors
 
 
 def sqrt_arguments(s: TetShapes) -> tuple[complex, complex, complex, complex]:
@@ -251,7 +222,7 @@ def log_eigenvalue_gradients(
 ) -> tuple[tuple[complex, complex], ...]:
     """(d/du, d/dv) of log(-m1), log(-l1), log(-m2), log(-l2) on the variety.
 
-    The chain rule through the forms of ``cusp_eigenvalues``:
+    The chain rule through the forms of ``cusp_logs``:
     log(-m1) = 1/2 log((1-z4)/(1-z2)),
     log(-l1) = log((1-z4)/(1-z2)) + 1/2 log(z3 z4 / (z1 z2)), and the same
     with (1-z2)/(1-z1) and z2 z4 / (z1 z3) for the second cusp. Branches
@@ -273,72 +244,44 @@ def log_eigenvalue_gradients(
     return tuple(zip(*rows))
 
 
-def _continue_stacked(step, args: tuple, anchors: tuple) -> np.ndarray:
-    """``step`` (``continue_sqrt`` or ``continue_log``) of every row of each argument, in one pass.
+def _on_branch(radicand, shape_logs, log, rint):
+    """log(radicand) on the branch of ``shape_logs``, a sum of shape logs equal to it mod 2 pi i.
 
-    ``args`` are row arrays and ``anchors`` their (argument, value) pairs,
-    all numbers (the base's, say) or all rows. They are stacked on a
-    leading axis, and each step guard runs on all of them before the next
-    guard: every branch point is refused before any long step, and within
-    one guard the first argument in order goes first. So a batch with two
-    faults can report another one than the calls in turn would. The
-    refusal names the row alone.
+    The principal log of the radicand keeps its digits where the radicand
+    is near 1; the sum's imaginary part picks the multiple of 2 pi i.
     """
-    args = _stack(args)
-    pairs = np.array(anchors)
-    pairs = pairs.reshape(pairs.shape + (1,) * (args.ndim + 1 - pairs.ndim))
-    try:
-        return step(args, pairs[:, 0], pairs[:, 1])
-    except BranchError as exc:
-        row = exc.row[1:]  # without the stacked index
-        raise BranchError(exc.reason, row[0] if len(row) == 1 else row) from exc
+    principal = log(radicand)
+    return principal + 2j * math.pi * rint((shape_logs - principal).imag / (2.0 * math.pi))
 
 
-def _eigenvalues(s: TetShapes, anchors: BranchAnchors, continue_root) -> CuspEigenvalues:
-    """The eigenvalues at ``s``, each square root continued by ``continue_root`` from ``anchors``.
+def cusp_logs(s: TetShapes) -> tuple[complex, complex, complex, complex]:
+    """log(-m1), log(-l1), log(-m2), log(-l2) at the positively oriented shapes ``s``.
 
-    ``continue_root`` None takes the four roots of a row batch at once.
+    The forms of ``log_eigenvalue_gradients``, each radicand's log on the
+    branch of its sum of shape logs (the module docstring). Shapes that hold
+    arrays give one log per row.
     """
-    arg_m1, arg_l1, arg_m2, arg_l2 = args = sqrt_arguments(s)
-    try:
-        if continue_root is None:
-            pairs = (anchors.m1, anchors.l1, anchors.m2, anchors.l2)
-            s_m1, s_l1, s_m2, s_l2 = _continue_stacked(continue_sqrt, args, pairs)
-        else:
-            s_m1 = continue_root(arg_m1, *anchors.m1)
-            s_l1 = continue_root(arg_l1, *anchors.l1)
-            s_m2 = continue_root(arg_m2, *anchors.m2)
-            s_l2 = continue_root(arg_l2, *anchors.l2)
-    except BranchError as exc:
-        lost = GluingError(f"eigenvalue branch lost: {exc}")
-        lost.row, lost.reason = exc.row, f"eigenvalue branch lost: {exc.reason}"
-        raise lost from exc
-    # m1's and m2's radicands are the ratios that l1 and l2 carry
-    return CuspEigenvalues(
-        m1=-s_m1,
-        l1=-arg_m1 * s_l1,
-        m2=-s_m2,
-        l2=-arg_m2 * s_l2,
-        anchors=BranchAnchors((arg_m1, s_m1), (arg_l1, s_l1), (arg_m2, s_m2), (arg_l2, s_l2)),
+    log, rint = (np.log, np.rint) if isinstance(s.z1, np.ndarray) else (cmath.log, round)
+    z1, z2, z3, z4 = s.as_tuple()
+    lz1, lz2, lz3, lz4 = log(z1), log(z2), log(z3), log(z4)
+    lw1, lw2, lw4 = log(1 - z1), log(1 - z2), log(1 - z4)
+    arg_m1, arg_l1, arg_m2, arg_l2 = sqrt_arguments(s)
+    ratio1 = _on_branch(arg_m1, lw4 - lw2, log, rint)
+    ratio2 = _on_branch(arg_m2, lw2 - lw1, log, rint)
+    return (
+        ratio1 / 2,
+        ratio1 + _on_branch(arg_l1, lz3 + lz4 - lz1 - lz2, log, rint) / 2,
+        ratio2 / 2,
+        ratio2 + _on_branch(arg_l2, lz2 + lz4 - lz1 - lz3, log, rint) / 2,
     )
 
 
-def cusp_eigenvalues(s: TetShapes, anchors: BranchAnchors = BranchAnchors()) -> CuspEigenvalues:
-    """Eigenvalues at the shapes ``s``, continued from ``anchors`` (the base's by default).
-
-    The result carries the anchors continued to ``s``. Shapes that hold
-    arrays continue every row from its own anchor, the four roots stacked
-    in one pass.
-    """
-    return _eigenvalues(s, anchors, None if isinstance(s.z1, np.ndarray) else continue_sqrt)
+def _exp_eigenvalues(logs: tuple) -> CuspEigenvalues:
+    """The eigenvalues -exp(log) of the four cusp logs, numbers or rows."""
+    exp = np.exp if isinstance(logs[0], np.ndarray) else cmath.exp
+    return CuspEigenvalues(*(-exp(x) for x in logs))
 
 
-def _walk_eigenvalues(s: TetShapes) -> CuspEigenvalues:
-    """Eigenvalues along walks from the base: the leading axis of ``s`` is the substep axis.
-
-    Row ``i`` of substep ``k`` continues from row ``i`` of substep ``k - 1``,
-    and substep 0 from the base, as ``cusp_eigenvalues`` called substep
-    after substep would, bit for bit (``_continue_sqrt_path``); every field
-    and anchor keeps the substep axis. A refusal names ``(substep, row)``.
-    """
-    return _eigenvalues(s, BranchAnchors(), _continue_sqrt_path)
+def cusp_eigenvalues(s: TetShapes) -> CuspEigenvalues:
+    """Eigenvalues at the positively oriented shapes ``s``: -exp of ``cusp_logs(s)``."""
+    return _exp_eigenvalues(cusp_logs(s))

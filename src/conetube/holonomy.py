@@ -13,9 +13,13 @@ alpha/gamma pair). One matrix entry involves
     w = (x^2 y - x^2 + 1) (x^2 y + (x^2 - 1)^2),
 
 whose branch is pinned at the complete structure ``(x, y) = (-1, 2i)``
-where ``w = -4`` and ``z = -(1+i)/2``, and continued from there:
-``_continued`` continues z from a previous representation's
-``(z_squared, z)``, so a walk hands each representation to the next.
+where ``w = -4`` and ``z = -(1+i)/2``. ``representation_at`` takes
+``z = BASE_Z sqrt(z^2 / BASE_Z_SQUARED)`` with the principal root: the
+branch continued from the base along any path on which that ratio keeps
+off the negative real axis. Over ``verify``'s box (x and y within 0.12 of
+the base in both parts) the ratio's argument stays within 0.55 of 0. A
+point whose ratio has ``Re <= 0`` is refused, so no branch is chosen
+silently.
 
 Peripheral elements: the second-cusp meridian/longitude pair is
 ``(alpha, gamma alpha^-1 gamma^-1 alpha beta^-1 alpha)``, both upper
@@ -26,14 +30,11 @@ and ``z`` may be numbers or arrays with a leading batch axis (one point
 per row), and they broadcast by numpy's rules. Matrices are stacks of
 shape ``(..., 2, 2)``, so one point gives plain 2x2 matrices, and residuals
 and traces come back with the batch shape. Every guard (finiteness,
-``x = 0``, ``w = 0``, ``z^2`` against its radicand, the determinants, each
-``continue_sqrt`` step of the z branch) runs on every row with the
-threshold of one point. One failing row refuses the batch with the same
-exception type as one point, and the message starts ``row i:``; the error
-carries ``row`` and ``reason``. ``_walk_representation`` takes a whole
-walk from the base in one pass: a leading axis of x and y is the substep
-axis, z is continued along it by ``jets._continue_sqrt_path``, and a
-refusal names ``(substep, row)``.
+``x = 0``, ``w = 0``, ``z^2`` against its radicand, the determinants, the
+half-plane of the z branch) runs on every row with the threshold of one
+point. One failing row refuses the batch with the same exception type as
+one point, and the message starts ``row i:``; the error carries ``row``
+and ``reason``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import dataclasses
 import numpy as np
 
 from .config import TOLERANCES
-from .jets import BranchError, _continue_sqrt_path, _refuse
+from .jets import _refuse
 
 BASE_X = complex(-1.0, 0.0)
 BASE_Y = complex(0.0, 2.0)
@@ -143,28 +144,22 @@ def _build_representation(x, y, z_value, radicand: tuple) -> Representation:
     return Representation(x, y, z, z2, alpha, beta, gamma)
 
 
-def _continued(x, y, anchor: tuple, continue_root) -> Representation:
-    """The representation at (x, y), z continued by ``continue_root`` from ``anchor``."""
-    w, z2 = _z_radicand(x, y)
-    try:
-        z = continue_root(np.asarray(z2), *anchor)
-    except BranchError as exc:
-        lost = HolonomyError(f"z branch lost: {exc}")
-        lost.row, lost.reason = exc.row, f"z branch lost: {exc.reason}"
-        raise lost from exc
-    return _build_representation(x, y, z, (w, z2))
+def representation_at(x, y) -> Representation:
+    """The representation at (x, y) on the base's z branch, numbers or rows.
 
-
-def _walk_representation(x: np.ndarray, y: np.ndarray) -> Representation:
-    """Representations along walks from the base: the leading axis of x and y is the substep axis.
-
-    Row ``i`` of substep ``k`` continues z from row ``i`` of substep ``k - 1``,
-    and substep 0 from the base, as ``_continued`` with ``continue_sqrt``
-    called substep after substep would, bit for bit (``_continue_sqrt_path``).
-    Every substep is built, so every guard runs on every (substep, row),
-    and a refusal names ``(substep, row)``; every field keeps the substep axis.
+    z = BASE_Z sqrt(z^2 / BASE_Z_SQUARED) with the principal root, refused
+    where the ratio has Re <= 0: there the principal root need not be the
+    branch continued from the base.
     """
-    return _continued(x, y, (BASE_Z_SQUARED, BASE_Z), _continue_sqrt_path)
+    w, z2 = _z_radicand(x, y)
+    ratio = z2 / BASE_Z_SQUARED
+    _refuse(
+        np.real(ratio) <= 0,
+        HolonomyError,
+        lambda i: f"z^2 {complex(np.asarray(z2)[i])!r} leaves the half-plane of the base's "
+        f"z branch (Re z^2 / {BASE_Z_SQUARED!r} <= 0)",
+    )
+    return _build_representation(x, y, BASE_Z * np.sqrt(ratio), (w, z2))
 
 
 def base_representation() -> Representation:

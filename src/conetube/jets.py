@@ -16,19 +16,10 @@ number or an array of the batch's shape acts as a constant series (one
 constant per row). Branch values passed to ``jet_sqrt`` and ``jet_log``
 broadcast the same way.
 
-Two things distinguish this implementation from a generic power-series
-class and both exist because downstream code analytically continues around
-branch points:
-
-* ``sqrt`` and ``log`` never choose a branch. The caller passes the value at
-  the constant term (a number whose square, or exponential, matches ``c0``)
-  and the series is built on that sheet.
-* ``continue_sqrt`` and ``continue_log`` take one continuation step of a
-  branch from a known (argument, value) anchor, refusing a step large
-  enough to be ambiguous; the caller subdivides its own path. Both also
-  step every row of an array at once, and ``_continue_sqrt_path``
-  walks every row through a whole path of substeps, a leading array axis,
-  in one pass.
+What distinguishes this implementation from a generic power-series class
+is that ``sqrt`` and ``log`` never choose a branch. The caller passes the
+value at the constant term (a number whose square, or exponential, matches
+``c0``) and the series is built on that sheet.
 
 Every guard (a branch value that does not match ``c0``, division by a series
 with zero constant term, a declared leading power whose coefficients do not
@@ -45,7 +36,6 @@ by order.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from typing import Callable
@@ -444,93 +434,3 @@ def real_modulus_jet(f: Jet, leading_power: int) -> Jet:
     mod = jet_sqrt(gg.real_part(), np.abs(g0))
     return mod.shift_up(leading_power)
 
-
-# ---------------------------------------------------------------------------
-# branch continuation
-
-_MAX_REL_STEP = 0.5
-
-
-def _ratio_of_steps(arg, anchor_arg, kind: str):
-    """arg / anchor_arg on every row, refusing a branch point or a long step.
-
-    The two step guards of ``continue_sqrt`` and ``continue_log`` (``kind``
-    names the function), run on the whole array; a refused row refuses it
-    with its index named.
-    """
-    _refuse(
-        (anchor_arg == 0) | (arg == 0),
-        BranchError,
-        lambda i: f"{kind} argument hit the branch point 0",
-    )
-    ratio = arg / anchor_arg
-    step = np.abs(ratio - 1.0)
-    _refuse(
-        step > _MAX_REL_STEP,
-        BranchError,
-        lambda i: f"relative step {step[i]:.3f} exceeds {_MAX_REL_STEP}; subdivide the path",
-    )
-    return ratio
-
-
-def _sqrt_of_steps(arg, anchor_arg):
-    """sqrt(arg / anchor_arg) on every row, under the step guards of ``continue_sqrt``."""
-    return np.sqrt(_ratio_of_steps(arg, anchor_arg, "square-root"))
-
-
-def continue_sqrt(arg, anchor_arg, anchor_value):
-    """One continuation step of sqrt from a known (argument, value) anchor.
-
-    Python numbers take one step. An ndarray ``arg`` takes one step per
-    row, with anchors that broadcast against it; the step guards run on
-    every row, and a refused row refuses the batch with its row named.
-    This is the one-substep case of ``_continue_sqrt_path``.
-    """
-    # a Python complex, the scalar walks' case, skips the array test
-    if type(arg) is not complex and isinstance(arg, np.ndarray):
-        return anchor_value * _sqrt_of_steps(arg, anchor_arg)
-    if anchor_arg == 0 or arg == 0:
-        raise BranchError("square-root argument hit the branch point 0")
-    ratio = arg / anchor_arg
-    if abs(ratio - 1.0) > _MAX_REL_STEP:
-        raise BranchError(
-            f"relative step {abs(ratio - 1.0):.3f} exceeds {_MAX_REL_STEP}; subdivide the path"
-        )
-    return anchor_value * cmath.sqrt(ratio)
-
-
-def _continue_sqrt_path(args: np.ndarray, anchor_arg, anchor_value) -> np.ndarray:
-    """sqrt continued from the anchor through ``args[0], args[1], ...``, step by step.
-
-    The leading axis of ``args`` is the substep axis and the anchors
-    broadcast against one substep. Both step guards run on every
-    (substep, row) at once, so a refusal names ``(substep, row)``. The
-    values are the product ``v[k] = v[k-1] * sqrt(args[k] / args[k-1])``,
-    one binary multiply per substep: the same arithmetic, bit for bit, as
-    ``continue_sqrt`` taken substep after substep.
-    """
-    first = np.broadcast_to(anchor_arg, (1,) + args.shape[1:])
-    roots = _sqrt_of_steps(args, np.concatenate((first, args[:-1])))
-    values = np.empty_like(roots)
-    value = anchor_value
-    for k, root in enumerate(roots):
-        value = values[k] = value * root
-    return values
-
-
-def continue_log(arg, anchor_arg, anchor_value):
-    """One continuation step of log from a known (argument, value) anchor.
-
-    Python numbers take one step; an ndarray ``arg`` takes one step per
-    row, as ``continue_sqrt`` does.
-    """
-    if type(arg) is not complex and isinstance(arg, np.ndarray):
-        return anchor_value + np.log(_ratio_of_steps(arg, anchor_arg, "log"))
-    if anchor_arg == 0 or arg == 0:
-        raise BranchError("log argument hit the branch point 0")
-    ratio = arg / anchor_arg
-    if abs(ratio - 1.0) > _MAX_REL_STEP:
-        raise BranchError(
-            f"relative step {abs(ratio - 1.0):.3f} exceeds {_MAX_REL_STEP}; subdivide the path"
-        )
-    return anchor_value + cmath.log(ratio)

@@ -4,9 +4,9 @@ A slope (p, q) on the second cusp imposes the filling relation
 
     p log(-m2) + q log(-l2) = i theta / 2
 
-with branch-continued logarithms vanishing at the complete structure; the
-first cusp is either unfilled (m1 = -1) or filled with its own slope
-(p1 log(-m1) + q1 log(-l1) = pi i).
+with the cusp logs of ``gluing.cusp_logs``, which vanish at the complete
+structure; the first cusp is either unfilled (m1 = -1) or filled with its
+own slope (p1 log(-m1) + q1 log(-l1) = pi i).
 
 ``cone_expansion`` produces the order-3 theta-jets of (m2, l2) on a given
 geometric curve: dm2(theta) is the reversion of the filling relation, a
@@ -21,16 +21,17 @@ so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
 those six quantities (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
 A parameter (the first cusp's 2 pi i target, then theta) is continued
 from 0 in one step to its target, halved after a refused Newton solve and
-doubled after an accepted one. A walk's whole state is its last accepted
-``VarietyPoint``, which carries the anchors of every square root and log:
-Newton starts at that point and continues each later iterate from it, so a
-refused step leaves nothing to undo. ``_COMPLETE`` starts every walk.
+doubled after an accepted one. A chart point's logs are fixed by its
+shapes' orientation, not by the path to it (``_chart_point``), so a walk's
+whole state is its last accepted ``VarietyPoint``: Newton takes it as its
+first iterate, and a refused step leaves nothing to undo. ``_COMPLETE``
+starts every walk.
 
 The curve samplers solve the pinned meridian m2 = -1 + s from one base
 point. Given an array of s, as ``expand_from_samples`` gives its whole
 stencil, ``_newton`` takes every s as one row of a single Newton pass
 (``_row_newton``): each row steps, polishes and stops as the scalar Newton
-does, ``_continue_point`` takes every chart point of a pass at once, and a
+does, ``_chart_point`` takes every chart point of a pass at once, and a
 refused row names its s. Cone structures and base walks take the
 scalar steps.
 """
@@ -49,26 +50,15 @@ from .curves import CurveError, GeometricCurve, expand_from_samples
 from .gluing import (
     BASE_SHAPE,
     BASE_SHAPES,
-    BranchAnchors,
     CuspEigenvalues,
     GluingError,
     TetShapes,
-    _continue_stacked,
-    cusp_eigenvalues,
+    _exp_eigenvalues,
+    cusp_logs,
     log_eigenvalue_gradients,
     solve_shapes,
 )
-from .jets import (
-    BranchError,
-    Jet,
-    JetError,
-    _refuse,
-    compose,
-    continue_log,
-    jet_log,
-    reversion,
-    variable,
-)
+from .jets import Jet, JetError, _refuse, compose, jet_log, reversion, variable
 
 THETA_MAX = 0.5
 MIN_FILLED_NORM = 8
@@ -230,11 +220,7 @@ def cone_jets(jets: CurveJets, p, q) -> tuple[Jet, Jet, Jet]:
 
 @dataclasses.dataclass(frozen=True)
 class VarietyPoint:
-    """A chart point with eigenvalues and branch-continued filling logs.
-
-    It holds every anchor that continues its branches: the square roots in
-    ``eigenvalues.anchors`` and each log beside its argument -eigenvalue.
-    """
+    """A chart point with its cusp eigenvalues and their logs, log(-eigenvalue)."""
 
     u: complex
     v: complex
@@ -270,14 +256,25 @@ class _Affine:
         return _combination(self.coeffs, x) + self.const
 
     def scale(self, x: tuple[complex, ...]) -> float:
-        """sum |c_k| |x_k| + |const|: the size of the terms, which the value's rounding grows with."""
-        return sum(abs(c) * abs(xk) for c, xk in zip(self.coeffs, x) if c) + abs(self.const)
+        """sum |c_k| max(1, |x_k|) + |const|: what the value's rounding grows with.
+
+        A log near 0 still carries an absolute rounding of about eps, so a
+        term counts at least |c_k|, however small its x_k.
+        """
+        return sum(abs(c) * _at_least_one(abs(xk)) for c, xk in zip(self.coeffs, x) if c) + abs(
+            self.const
+        )
 
     def gradient(self, grads: tuple[tuple[complex, complex], ...]) -> tuple[complex, complex]:
         return (
             _combination(self.coeffs, [g[0] for g in grads]),
             _combination(self.coeffs, [g[1] for g in grads]),
         )
+
+
+def _at_least_one(size):
+    """max(1, size) of a float, or of each entry of an array."""
+    return max(1.0, size) if type(size) is float else np.maximum(1.0, size)
 
 
 def _combination(coeffs: tuple[complex, ...], xs) -> complex:
@@ -329,43 +326,19 @@ class SolvedStructure:
         )
 
 
-_MINUS_ONE = complex(-1.0, -0.0)  # so that the log argument -m is exactly 1 + 0j
+_MINUS_ONE = complex(-1.0, -0.0)  # -exp(0j): the base's eigenvalue, as _chart_point gives it
 _COMPLETE = VarietyPoint(
     u=BASE_SHAPE, v=BASE_SHAPE, shapes=BASE_SHAPES,
-    eigenvalues=CuspEigenvalues(_MINUS_ONE, _MINUS_ONE, _MINUS_ONE, _MINUS_ONE, BranchAnchors()),
+    eigenvalues=CuspEigenvalues(_MINUS_ONE, _MINUS_ONE, _MINUS_ONE, _MINUS_ONE),
     log_m1=0j, log_l1=0j, log_m2=0j, log_l2=0j,
 )
 
 
-def _continue_point(prev: VarietyPoint, u: complex, v: complex) -> VarietyPoint:
-    """The chart point (u, v), every branch continued from prev.
-
-    Arrays (u, v) continue every row, from prev's rows or from one point.
-    """
+def _chart_point(u: complex, v: complex) -> VarietyPoint:
+    """The chart point (u, v) with its eigenvalues and cusp logs; arrays give one point per row."""
     shapes = solve_shapes(u, v)
-    ev = cusp_eigenvalues(shapes, prev.eigenvalues.anchors)
-    old = prev.eigenvalues
-    try:
-        if isinstance(u, np.ndarray):  # every row's four logs in one pass
-            lm1, ll1, lm2, ll2 = _continue_stacked(
-                continue_log,
-                (-ev.m1, -ev.l1, -ev.m2, -ev.l2),
-                ((-old.m1, prev.log_m1), (-old.l1, prev.log_l1),
-                 (-old.m2, prev.log_m2), (-old.l2, prev.log_l2)),
-            )
-        else:
-            lm1 = continue_log(-ev.m1, -old.m1, prev.log_m1)
-            ll1 = continue_log(-ev.l1, -old.l1, prev.log_l1)
-            lm2 = continue_log(-ev.m2, -old.m2, prev.log_m2)
-            ll2 = continue_log(-ev.l2, -old.l2, prev.log_l2)
-    except BranchError as exc:
-        lost = GluingError(f"filling log branch lost: {exc}")
-        lost.row, lost.reason = exc.row, f"filling log branch lost: {exc.reason}"
-        raise lost from exc
-    return VarietyPoint(
-        u=u, v=v, shapes=shapes, eigenvalues=ev,
-        log_m1=lm1, log_l1=ll1, log_m2=lm2, log_l2=ll2,
-    )
+    logs = cusp_logs(shapes)
+    return VarietyPoint(u, v, shapes, _exp_eigenvalues(logs), *logs)
 
 
 def _scaled_small(residual: _Residual, x: tuple, f1, f2):
@@ -374,9 +347,10 @@ def _scaled_small(residual: _Residual, x: tuple, f1, f2):
     The scale bounds the rounding of the residual's sum: a filled cusp's
     p log(-m) + q log(-l) - pi i sums terms of modulus about pi to 0, so its
     bound is about 2 pi times the absolute one, room for the rounding that
-    grows with |p|. Newton calls this only where the absolute test fails,
-    so a residual that passes that test never forms its scale. Rows are
-    judged elementwise.
+    grows with |p|; and p2 log(-m2) carries |p2| eps of it even where the
+    log is near 0, which the scale's floor of |c_k| per term covers. Newton
+    calls this only where the absolute test fails, so a residual that
+    passes that test never forms its scale. Rows are judged elementwise.
     """
     tol = TOLERANCES.newton
     a1, a2 = abs(f1), abs(f2)
@@ -386,7 +360,7 @@ def _scaled_small(residual: _Residual, x: tuple, f1, f2):
 
 
 def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
-    """The converged point of residual = 0, Newton from start on start's branches.
+    """The converged point of residual = 0, Newton from start.
 
     A residual with an array constant, one row per problem, takes
     ``_row_newton``; numbers take the scalar steps below.
@@ -397,7 +371,7 @@ def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
     tol = TOLERANCES.newton
     polish = False
     for k in range(_NEWTON_MAX_ITER):
-        pt = _continue_point(start, u, v) if k else start
+        pt = _chart_point(u, v) if k else start
         x = _coordinates(pt)
         f1, f2 = residual[0].value(x), residual[1].value(x)
         if polish or max(abs(f1), abs(f2)) < tol or _scaled_small(residual, x, f1, f2):
@@ -419,18 +393,18 @@ def _row_newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
     Each row takes the scalar Newton's steps on its own: the first from
     start with start's Jacobian, shared by every row; then it polishes once
     its residual is below the bound, and after that step it is frozen (its
-    point is recomputed unchanged while other rows go on). Each pass
-    continues every row's chart point from start in one ``_continue_point``
-    on arrays. A refused row refuses the batch with the scalar exception
-    type and message, prefixed ``row i:``; the error carries ``row`` and
-    ``reason``. The returned point holds arrays, one row per problem.
+    point is recomputed unchanged while other rows go on). Each pass takes
+    every row's chart point in one ``_chart_point`` on arrays. A refused row
+    refuses the batch with the scalar exception type and message, prefixed
+    ``row i:``; the error carries ``row`` and ``reason``. The returned point
+    holds arrays, one row per problem.
     """
     tol = TOLERANCES.newton
     shape = np.broadcast(residual[0].const, residual[1].const).shape
     u, v = np.full(shape, start.u), np.full(shape, start.v)
     polish, done = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
     for k in range(_NEWTON_MAX_ITER):
-        pt = _continue_point(start, u, v) if k else start
+        pt = _chart_point(u, v) if k else start
         x = _coordinates(pt)
         f1, f2 = residual[0].value(x), residual[1].value(x)
         done |= polish

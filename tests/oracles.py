@@ -1,17 +1,20 @@
 """Independent expressions the tests compare the library against.
 
 Each oracle computes a quantity the library also computes, by a different
-route: the second printed form of the cusp eigenvalues, the printed trace
-display of the tube radius, branch continuation along a whole path, the
-hyperbolic distance between two geodesics from their cross-ratio with
-the tube radius as half the distance from the core axis to its tied
-translate (criterion 10's geometry oracle), a cone structure reached
-by small continuation steps, the k1scan slopes listed pair by pair,
-verify's branch walks taken one call per substep, and the exponential of a
-jet, against which ``jet_log`` and ``compose`` are checked. None of them is
-used by the library. Beside them live the test-only helpers that the
-library no longer exports: one continuation step of a representation, the
-longitude eigenvalue of the family, and the cusp relation residuals.
+route: the small-step continuation of square roots and logs from a known
+anchor (``continue_sqrt``, ``continue_log``), and with it the cusp
+eigenvalues, their logs and the z branch of the holonomy family walked
+from the base, which the library fixes in closed form by orientation; the
+second printed form of the cusp eigenvalues, the printed trace display of
+the tube radius, branch continuation along a whole path, the hyperbolic
+distance between two geodesics from their cross-ratio with the tube
+radius as half the distance from the core axis to its tied translate
+(criterion 10's geometry oracle), a cone structure reached by small
+continuation steps, the k1scan slopes listed pair by pair, and the
+exponential of a jet, against which ``jet_log`` and ``compose`` are
+checked. None of them is used by the library. Beside them live the
+test-only helpers that the library no longer exports: the longitude
+eigenvalue of the family, and the cusp relation residuals.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import numpy as np
 from conetube.config import TOLERANCES
 from conetube.gluing import (
     BASE_SHAPE,
-    BranchAnchors,
     CuspEigenvalues,
     GluingError,
     TetShapes,
@@ -39,17 +41,19 @@ from conetube.holonomy import (
     BASE_Z_SQUARED,
     HolonomyError,
     Representation,
-    _continued,
+    _build_representation,
     _max_norm,
     _product,
+    _z_radicand,
     commutator_trace_minus2,
     peripheral_matrices,
     relation_residuals,
+    representation_at,
     trace_identity_l1,
     trace_identity_m1,
     y_from_l2,
 )
-from conetube.jets import BranchError, Jet, _refuse, constant, continue_log, continue_sqrt
+from conetube.jets import BranchError, Jet, _refuse, constant
 from conetube.surgery import (
     _COMPLETE,
     _TAU_STEP_MIN,
@@ -64,37 +68,134 @@ from conetube.surgery import (
 from conetube.tube import TubeError
 
 # ---------------------------------------------------------------------------
-# cusp eigenvalues
+# small-step continuation
+
+_MAX_REL_STEP = 0.5
 
 
-def alternate_eigenvalues(
-    s: TetShapes, anchors: BranchAnchors = BranchAnchors()
-) -> CuspEigenvalues:
+def _ratio_of_steps(arg, anchor_arg, kind: str):
+    """arg / anchor_arg on every row, refusing a branch point or a long step.
+
+    The two step guards of ``continue_sqrt`` and ``continue_log`` (``kind``
+    names the function), run on the whole array; a refused row refuses it
+    with its index named.
+    """
+    _refuse(
+        (anchor_arg == 0) | (arg == 0),
+        BranchError,
+        lambda i: f"{kind} argument hit the branch point 0",
+    )
+    ratio = arg / anchor_arg
+    step = np.abs(ratio - 1.0)
+    _refuse(
+        step > _MAX_REL_STEP,
+        BranchError,
+        lambda i: f"relative step {step[i]:.3f} exceeds {_MAX_REL_STEP}; subdivide the path",
+    )
+    return ratio
+
+
+def _scalar_ratio(arg, anchor_arg, kind: str) -> complex:
+    """``_ratio_of_steps`` of Python numbers."""
+    if anchor_arg == 0 or arg == 0:
+        raise BranchError(f"{kind} argument hit the branch point 0")
+    ratio = arg / anchor_arg
+    if abs(ratio - 1.0) > _MAX_REL_STEP:
+        raise BranchError(
+            f"relative step {abs(ratio - 1.0):.3f} exceeds {_MAX_REL_STEP}; subdivide the path"
+        )
+    return ratio
+
+
+def continue_sqrt(arg, anchor_arg, anchor_value):
+    """One continuation step of sqrt from a known (argument, value) anchor.
+
+    A step whose argument moves by more than half of the anchor's is
+    refused as ambiguous; the caller subdivides its own path. An ndarray
+    ``arg`` takes one step per row, with anchors that broadcast against it,
+    and a refused row refuses the batch with its row named.
+    """
+    if isinstance(arg, np.ndarray):
+        return anchor_value * np.sqrt(_ratio_of_steps(arg, anchor_arg, "square-root"))
+    return anchor_value * cmath.sqrt(_scalar_ratio(arg, anchor_arg, "square-root"))
+
+
+def continue_log(arg, anchor_arg, anchor_value):
+    """One continuation step of log from a known (argument, value) anchor, as ``continue_sqrt``."""
+    if isinstance(arg, np.ndarray):
+        return anchor_value + np.log(_ratio_of_steps(arg, anchor_arg, "log"))
+    return anchor_value + cmath.log(_scalar_ratio(arg, anchor_arg, "log"))
+
+
+# ---------------------------------------------------------------------------
+# cusp eigenvalues and their logs, continued from the base
+
+# (argument, value) of each cusp square root at the base
+BASE_ANCHORS = ((1.0 + 0j, 1.0 + 0j),) * 4
+_AT_BASE = CuspEigenvalues(-1.0 + 0j, -1.0 + 0j, -1.0 + 0j, -1.0 + 0j)
+
+
+def _from_roots(args: tuple, anchors: tuple) -> tuple[CuspEigenvalues, tuple]:
+    """Eigenvalues with each square root of ``args`` continued one step from ``anchors``.
+
+    ``args`` are the radicands of (m1, l1, m2, l2); the l roots are scaled
+    by the m radicands, as in ``gluing.cusp_logs``. Returns the eigenvalues
+    and the anchors continued to them.
+    """
+    try:
+        roots = [continue_sqrt(arg, *anchor) for arg, anchor in zip(args, anchors)]
+    except BranchError as exc:
+        raise GluingError(f"eigenvalue branch lost: {exc}") from exc
+    ev = CuspEigenvalues(-roots[0], -args[0] * roots[1], -roots[2], -args[2] * roots[3])
+    return ev, tuple(zip(args, roots))
+
+
+def continued_eigenvalues(s: TetShapes, anchors: tuple = BASE_ANCHORS):
+    """(eigenvalues, anchors) at ``s``, each root continued one step from ``anchors``."""
+    return _from_roots(sqrt_arguments(s), anchors)
+
+
+def alternate_eigenvalues(s: TetShapes, anchors: tuple = BASE_ANCHORS) -> CuspEigenvalues:
     """The second printed form of each eigenvalue, for consistency checks.
 
     The first gluing equation makes (1-z4)/(1-z2) = (1-z3)/(1-z1) and
     (1-z2)/(1-z1) = (1-z4)/(1-z3); on the variety these agree with
-    ``cusp_eigenvalues`` and off it they differ. The anchors it returns
-    continue these printed forms' radicands, not ``cusp_eigenvalues``'s.
+    ``cusp_eigenvalues`` and off it they differ. The roots continue from
+    ``anchors`` by one step each.
     """
     z1, z2, z3, z4 = s.as_tuple()
     _, arg_l1, _, arg_l2 = sqrt_arguments(s)
-    ratio1 = (1 - z3) / (1 - z1)
-    ratio2 = (1 - z4) / (1 - z3)
-    try:
-        s_m1 = continue_sqrt(ratio1, *anchors.m1)
-        s_l1 = continue_sqrt(arg_l1, *anchors.l1)
-        s_m2 = continue_sqrt(ratio2, *anchors.m2)
-        s_l2 = continue_sqrt(arg_l2, *anchors.l2)
-    except BranchError as exc:
-        raise GluingError(f"eigenvalue branch lost: {exc}") from exc
-    return CuspEigenvalues(
-        m1=-s_m1,
-        l1=-ratio1 * s_l1,
-        m2=-s_m2,
-        l2=-ratio2 * s_l2,
-        anchors=BranchAnchors((ratio1, s_m1), (arg_l1, s_l1), (ratio2, s_m2), (arg_l2, s_l2)),
-    )
+    return _from_roots(((1 - z3) / (1 - z1), arg_l1, (1 - z4) / (1 - z3), arg_l2), anchors)[0]
+
+
+def _eigenvalue_tuple(ev: CuspEigenvalues) -> tuple:
+    return (ev.m1, ev.l1, ev.m2, ev.l2)
+
+
+def walked_point(u, v, substeps: int = 8):
+    """(shapes, anchors, eigenvalues, logs) at (u, v), walked from the base in small steps.
+
+    The chart point moves along the straight segment from the base in
+    ``substeps`` equal steps. At each, every square root of the eigenvalues
+    is continued from the step before, and every log(-eigenvalue) likewise
+    from 0 at the base: a route to ``gluing.cusp_logs`` and
+    ``cusp_eigenvalues`` that takes no principal log of a shape. Arrays walk
+    every row.
+    """
+    anchors, ev, logs = BASE_ANCHORS, _AT_BASE, (0j,) * 4
+    for k in range(1, substeps + 1):
+        s = k / substeps
+        shapes = solve_shapes(BASE_SHAPE + s * (u - BASE_SHAPE), BASE_SHAPE + s * (v - BASE_SHAPE))
+        new, anchors = continued_eigenvalues(shapes, anchors)
+        try:
+            logs = tuple(
+                continue_log(-a, -b, log)
+                for a, b, log in zip(_eigenvalue_tuple(new), _eigenvalue_tuple(ev), logs)
+            )
+        except BranchError as exc:
+            raise GluingError(f"filling log branch lost: {exc}") from exc
+        ev = new
+    return shapes, anchors, ev, logs
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +430,12 @@ def continue_representation(x, y, previous: Representation | None = None) -> Rep
     row of ``previous``, and the base broadcasts over any batch.
     """
     anchor = (BASE_Z_SQUARED, BASE_Z) if previous is None else (previous.z_squared, previous.z)
-    return _continued(x, y, anchor, continue_sqrt)
+    w, z2 = _z_radicand(x, y)
+    try:
+        z = continue_sqrt(np.asarray(z2), *anchor)
+    except BranchError as exc:
+        raise HolonomyError(f"z branch lost: {exc}") from exc
+    return _build_representation(x, y, z, (w, z2))
 
 
 def l2_eigenvalue(x, y):
@@ -352,56 +458,42 @@ def cusp_relation_residuals(rep: Representation) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# verify's walks, one call per substep
+# verify's points, walked from the base one call per substep
 
 VERIFY_SUBSTEPS = 8
 
 
 def stepwise_representations(x: np.ndarray, y: np.ndarray) -> list[Representation]:
-    """verify's walks of the z branch from the base to the rows (x, y), substep by substep.
+    """Walks of the z branch from the base to the rows (x, y), substep by substep.
 
     One ``continue_representation`` call per substep, each continuing from
     the one before; the list holds every substep's representation.
     """
     reps, rep = [], None
     for k in range(1, VERIFY_SUBSTEPS + 1):
-        s = k / 8.0
+        s = k / VERIFY_SUBSTEPS
         rep = continue_representation(-1.0 + s * (x + 1.0), 2j + s * (y - 2j), rep)
         reps.append(rep)
     return reps
 
 
-def stepwise_eigenvalues(u: np.ndarray, v: np.ndarray) -> list[CuspEigenvalues]:
-    """verify's cusp walks from the base to the chart rows (u, v), substep by substep.
-
-    One ``solve_shapes`` and one ``cusp_eigenvalues`` call per substep, the
-    roots continued from the substep before; the list holds every substep's
-    eigenvalues.
-    """
-    evs, anchors = [], BranchAnchors()
-    for k in range(1, VERIFY_SUBSTEPS + 1):
-        s = k / 8.0
-        shapes = solve_shapes(BASE_SHAPE + s * (u - BASE_SHAPE), BASE_SHAPE + s * (v - BASE_SHAPE))
-        ev = cusp_eigenvalues(shapes, anchors)
-        anchors = ev.anchors
-        evs.append(ev)
-    return evs
+def verify_draws(points: int, seed: int) -> list[np.ndarray]:
+    """verify's offsets (gluing, holonomy, cusp), each check's as one (points, 2) complex array."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-r, r, size=(points, 4)).view(complex) for r in (0.08, 0.12, 0.08)]
 
 
-def stepwise_verify_residuals(points: int, seed: int) -> dict[str, np.ndarray]:
-    """verify's four residuals at each of its points, every walk taken substep by substep.
+def verify_residuals(points: int, seed: int) -> dict[str, np.ndarray]:
+    """verify's four residuals at each of its points, all of them in one batch.
 
     The points are verify's draws, each check's as one ``(points, 4)``
     uniform array; every row is computed on its own, so one batch of all
     the points gives each point's residuals whatever verify's block size.
     """
-    rng = np.random.default_rng(seed)
-    g, h, c = (
-        rng.uniform(-radius, radius, size=(points, 4)).view(complex) for radius in (0.08, 0.12, 0.08)
-    )
+    g, h, c = verify_draws(points, seed)
     r1, r2 = residuals(solve_shapes(BASE_SHAPE + g[:, 0], BASE_SHAPE + g[:, 1]))
-    rep = stepwise_representations(-1.0 + h[:, 0], 2j + h[:, 1])[-1]
-    ev = stepwise_eigenvalues(BASE_SHAPE + c[:, 0], BASE_SHAPE + c[:, 1])[-1]
+    rep = representation_at(-1.0 + h[:, 0], 2j + h[:, 1])
+    ev = cusp_eigenvalues(solve_shapes(BASE_SHAPE + c[:, 0], BASE_SHAPE + c[:, 1]))
     return {
         "gluing_residual": np.maximum(abs(r1), abs(r2)),
         "group_relations": np.maximum(*relation_residuals(rep)),

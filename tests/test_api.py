@@ -6,14 +6,14 @@ import conetube
 from conetube import curves, gluing, holonomy, jets, surgery, tube
 
 PUBLIC = [
-    "BASE_SHAPES", "BivariatePolynomial", "BranchAnchors", "BranchError",
+    "BASE_SHAPES", "BivariatePolynomial", "BranchError",
     "ConeExpansion", "ConvergenceRow", "CurveError", "CuspEigenvalues",
     "GeometricCurve", "GluingError", "HolonomyError", "Jet",
     "JetError", "KExpansion", "PeripheralMatrices", "Representation",
     "Slope", "SolvedStructure", "SurgeryError", "TOLERANCES", "TetShapes", "TubeError",
     "TubeMeasurement", "VarietyPoint", "base_representation",
     "commutator_trace_minus2", "compose", "cone_expansion", "constant",
-    "continue_log", "continue_sqrt", "convergence_table",
+    "convergence_table",
     "cusp_eigenvalues", "ensure_finite", "expand_from_polynomial",
     "expand_from_samples",
     "figure_eight_a_polynomial", "filled_curve_sampler", "fit_k_expansion",
@@ -26,9 +26,10 @@ PUBLIC = [
 ]
 
 # names that copied another definition, served only the tests, became
-# module-private, held branch state that points now carry as values, or
-# capped or unrolled what one generic jet path now does, by the namespace
-# that defined them; the test-only ones live in tests/oracles.py
+# module-private, held branch state that points now carry as values,
+# capped or unrolled what one generic jet path now does, or continued a
+# branch that the shapes' orientation now fixes, by the namespace that
+# defined them; the test-only ones live in tests/oracles.py
 GONE = {
     tube: [
         "core_length", "commutator_trace_minus2_from_eigenvalues", "monotonicity_report",
@@ -39,22 +40,24 @@ GONE = {
     gluing: [
         "alternate_eigenvalues", "_continued_disc_sqrt", "_walk_disc_sqrt", "_root", "_BASE_DISC",
         "_BASE_DISC_SQRT", "_SEGMENT_HOPS", "_MIN_HOP", "_HOP_ENDS", "_MAX_REL_STEP",
+        "BranchAnchors", "_stack", "_continue_stacked", "_eigenvalues", "_walk_eigenvalues",
     ],
     holonomy: [
         "build_representation", "z_radicand", "RepresentationFamily", "continue_representation",
-        "cusp_relation_residuals", "l2_eigenvalue",
+        "cusp_relation_residuals", "l2_eigenvalue", "_continued", "_walk_representation",
     ],
-    surgery: ["_ChartWalker", "_LogAnchors", "_filled_base_walker"],
+    surgery: ["_ChartWalker", "_LogAnchors", "_filled_base_walker", "_continue_point"],
     jets: [
         "sqrt_along_path", "log_along_path", "_walk", "_MAX_DEPTH", "jet_exp", "MAX_ORDER",
-        "_CONVOLUTION", "_TOEPLITZ",
+        "_CONVOLUTION", "_TOEPLITZ", "continue_sqrt", "continue_log", "_ratio_of_steps",
+        "_sqrt_of_steps", "_MAX_REL_STEP", "_continue_sqrt_path",
     ],
     jets.Jet: ["truncate"],
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 61
+    assert len(PUBLIC) == 58
     assert sorted(conetube.__all__) == PUBLIC
 
 

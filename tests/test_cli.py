@@ -26,9 +26,10 @@ from conetube import cli
 from conetube.cli import main
 from tests.oracles import (
     coprime_slope_pairs,
-    stepwise_eigenvalues,
     stepwise_representations,
-    stepwise_verify_residuals,
+    verify_draws,
+    verify_residuals,
+    walked_point,
 )
 
 
@@ -154,6 +155,23 @@ def test_a_theta_below_float_resolution_says_so(capsys, theta):
     assert run(capsys, "tube", "--p2", "1", "--q2", "0", "--theta", "2e-7")[0] == 0
 
 
+@pytest.mark.parametrize("theta", ["0.5", "0.1"])
+def test_a_large_second_cusp_slope_solves(capsys, theta):
+    # 3000 log(-m2) carries about 3000 eps of rounding while the relation's
+    # terms sum to about theta: Newton's bound counts each term as at least
+    # its coefficient, so the solve stops where the rounding does
+    code, out, err = run(capsys, "tube", "--p2", "3000", "--q2", "1", "--theta", theta)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["theta"] == float(theta)
+
+
+def test_a_larger_slope_names_its_filling_residuals(capsys):
+    # Newton converges, and the final residual check refuses the structure
+    code, out, err = run(capsys, "tube", "--p2", "1", "--q2", "10000", "--theta", "0.1")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"conetube: filling residuals \(.*\) above 1e-12\n", err), err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--points", "5")
     assert code == 0
@@ -179,6 +197,13 @@ def test_verify_impossible_tol_fails(capsys):
     assert code == 2
     assert json.loads(out)["pass"] is False
     assert re.fullmatch(r"conetube: verify failed [1-4] of 4 checks: [a-z_, ]+\n", err), err
+
+
+@pytest.mark.parametrize("points", [str(cli._VERIFY_MAX_POINTS + 1), str(10**12)])
+def test_verify_points_above_the_cap_exit_3(capsys, points):
+    code, out, err = _exit_code(capsys, "verify", "--points", points)
+    assert (code, out) == (3, "")
+    assert f"--points must be at most {cli._VERIFY_MAX_POINTS}" in err
 
 
 def test_negative_seed_exits_3(capsys):
@@ -490,28 +515,22 @@ def test_verify_cusp_trace_relations_near_the_base(capsys, points, seed):
 
 
 def test_verify_uses_one_draw_per_point_in_order(monkeypatch):
-    # each walk is one pass per block with the substep as its leading axis:
-    # record the passes' inputs, and check every (substep, point) entry
-    # against the arithmetic of that point's own draw
+    # each check is one pass per block: record the passes' inputs, and check
+    # every point against the arithmetic of its own draw
     points, seed = 20, 11
-    solved, walked, eigen = [], [], []
-    solve, walk, eigenvalues = cli.solve_shapes, cli._walk_representation, cli._walk_eigenvalues
+    solved, represented = [], []
+    solve, represent = cli.solve_shapes, cli.representation_at
 
     def record_solve(u, v):
         solved.append((u, v))
         return solve(u, v)
 
-    def record_walk(x, y):
-        walked.append((x, y))
-        return walk(x, y)
-
-    def record_eigenvalues(shapes):
-        eigen.append(shapes.z1.shape)
-        return eigenvalues(shapes)
+    def record_representation(x, y):
+        represented.append((x, y))
+        return represent(x, y)
 
     monkeypatch.setattr(cli, "solve_shapes", record_solve)
-    monkeypatch.setattr(cli, "_walk_representation", record_walk)
-    monkeypatch.setattr(cli, "_walk_eigenvalues", record_eigenvalues)
+    monkeypatch.setattr(cli, "representation_at", record_representation)
     monkeypatch.setattr(cli, "_VERIFY_BLOCK", 8)
     checks = cli._verify_checks(points, seed, None)
     assert [c["points"] for c in checks] == [points] * 4
@@ -525,35 +544,18 @@ def test_verify_uses_one_draw_per_point_in_order(monkeypatch):
         return [(complex(o[0], o[1]), complex(o[2], o[3])) for o in offs]
 
     gluing, holonomy, cusp = draws(0.08), draws(0.12), draws(0.08)
-    steps = [k / 8.0 for k in range(1, 9)]
     blocks = [range(0, 8), range(8, 16), range(16, 20)]
-    # one pass per block and check; each point solved 9 times, walked 8 steps twice
-    assert len(solved) == 2 * len(blocks) and len(walked) == len(eigen) == len(blocks)
-    assert sum(u.size for u, _ in solved) == 9 * points
-    assert sum(x.size for x, _ in walked) == 8 * points
-    assert sum(np.prod(shape) for shape in eigen) == 8 * points
+    # one pass per block and check; each point solved twice and represented once
+    assert len(solved) == 2 * len(blocks) and len(represented) == len(blocks)
+    assert sum(u.size for u, _ in solved) == 2 * points
+    assert sum(x.size for x, _ in represented) == points
 
     def concat(calls):
         return [complex(z) for u, v in calls for pair in zip(u, v) for z in pair]
 
     assert concat(solved[:3]) == [z for du, dv in gluing for z in (base + du, base + dv)]
-    for b, rows in enumerate(blocks):
-        x_walk, y_walk = walked[b]
-        u_walk, v_walk = solved[3 + b]
-        assert x_walk.shape == u_walk.shape == eigen[b] == (8, len(rows))
-        for k, s in enumerate(steps):
-            x = [-1.0 + s * ((-1.0 + holonomy[i][0]) + 1.0) for i in rows]
-            y = [2j + s * ((2j + holonomy[i][1]) - 2j) for i in rows]
-            assert concat([(x_walk[k], y_walk[k])]) == [z for pair in zip(x, y) for z in pair]
-            uu = [base + s * ((base + cusp[i][0]) - base) for i in rows]
-            vv = [base + s * ((base + cusp[i][1]) - base) for i in rows]
-            assert concat([(u_walk[k], v_walk[k])]) == [z for pair in zip(uu, vv) for z in pair]
-
-
-def _verify_draws(points: int, seed: int):
-    """verify's offsets (gluing, holonomy, cusp), each check's as one (points, 2) complex array."""
-    rng = np.random.default_rng(seed)
-    return [rng.uniform(-r, r, size=(points, 4)).view(complex) for r in (0.08, 0.12, 0.08)]
+    assert concat(represented) == [z for dx, dy in holonomy for z in (-1.0 + dx, 2j + dy)]
+    assert concat(solved[3:]) == [z for du, dv in cusp for z in (base + du, base + dv)]
 
 
 @pytest.mark.parametrize(
@@ -561,34 +563,27 @@ def _verify_draws(points: int, seed: int):
     [(1, 7), (25, 1), (400, 2), (cli._VERIFY_BLOCK + 1, 4), (50, 3), (200, 1500881322)],
 )
 def test_stacked_walks_equal_the_stepwise_walks(points, seed):
-    _, h, c = _verify_draws(points, seed)
-    steps = (np.arange(1, 9) / 8.0)[:, None]
+    # verify takes each point in one pass, with no walk from the base: its z
+    # branch and eigenvalues are those of the walks, substep by substep
+    _, h, c = verify_draws(points, seed)
     x, y = -1.0 + h[:, 0], 2j + h[:, 1]
-    reps = stepwise_representations(x, y)
-    walk = cli._walk_representation(-1.0 + steps * (x + 1.0), 2j + steps * (y - 2j))
-    for k, rep in enumerate(reps):
-        assert np.array_equal(walk.z[k], rep.z) and np.array_equal(walk.z_squared[k], rep.z_squared)
-        assert np.array_equal(walk.gamma[k], rep.gamma)
-    last = cli.Representation(*(getattr(walk, f.name)[-1] for f in dataclasses.fields(walk)))
-    for stacked, stepwise in zip(cli.relation_residuals(last), cli.relation_residuals(reps[-1])):
-        assert np.array_equal(stacked, stepwise)
-    assert np.array_equal(cli.commutator_trace_minus2(last), cli.commutator_trace_minus2(reps[-1]))
+    walked = stepwise_representations(x, y)[-1]
+    rep = cli.representation_at(x, y)
+    assert np.abs(rep.z - walked.z).max() <= 1e-14
+    assert np.abs(rep.gamma - walked.gamma).max() <= 1e-14
 
     base = 0.5 + 0.5j
     u, v = base + c[:, 0], base + c[:, 1]
-    evs = stepwise_eigenvalues(u, v)
-    ev = cli._walk_eigenvalues(cli.solve_shapes(base + steps * (u - base), base + steps * (v - base)))
-    for k, one in enumerate(evs):
-        for name in ("m1", "l1", "m2", "l2"):
-            assert np.array_equal(getattr(ev, name)[k], getattr(one, name))
-            arg, value = getattr(ev.anchors, name)
-            assert np.array_equal(arg[k], getattr(one.anchors, name)[0])
-            assert np.array_equal(value[k], getattr(one.anchors, name)[1])
+    _, _, walked_ev, _ = walked_point(u, v, 8)
+    ev = cli.cusp_eigenvalues(cli.solve_shapes(u, v))
+    for name in ("m1", "l1", "m2", "l2"):
+        assert np.abs(getattr(ev, name) - getattr(walked_ev, name)).max() <= 1e-14
 
-    # and the whole suite: each check's worst residual, bit for bit
-    stepwise = stepwise_verify_residuals(points, seed)
+    # and the whole suite: each check's worst residual is that of one batch of
+    # every point, bit for bit, whatever the block size
+    whole = verify_residuals(points, seed)
     for check in cli._verify_checks(points, seed, None):
-        assert check["max_residual"] == float(stepwise[check["check"]].max()), check["check"]
+        assert check["max_residual"] == float(whole[check["check"]].max()), check["check"]
 
 
 class _InjectedDraw:
@@ -612,17 +607,19 @@ _default_rng = np.random.default_rng
 @pytest.mark.parametrize(
     "check, offset, reason",
     [
-        # y walks from 2i towards 0.1i, where z^2 = -1/y moves by 70% in substep 7
-        (1, [0.0, 0.0, 0.0, -1.9], "substep 7: z branch lost: relative step 0.704"),
-        # an eigenvalue radicand moves by 52% in substep 7; every substep solves
-        (2, [0.0, -0.32, 0.0, -0.33], "substep 7: eigenvalue branch lost: relative step 0.519"),
+        # y = -0.1i, where z^2 = -1/y lies opposite the base's z^2 = i/2
+        (1, [0.0, 0.0, 0.0, -2.1], "z^2 (-0-9.999999999999991j) leaves the half-plane"),
+        # a cusp point beyond the chart, where the orientation may not fix the branch
+        (2, [0.0, -0.36, 0.0, 0.0], "chart coordinate 0.360 from base exceeds radius 0.35"),
     ],
+    ids=["z half-plane", "chart radius"],
 )
-def test_a_refused_walk_step_names_its_point(capsys, monkeypatch, check, offset, reason):
+def test_a_refused_point_names_its_point(capsys, monkeypatch, check, offset, reason):
     monkeypatch.setattr(
         np.random, "default_rng", lambda seed: _InjectedDraw(seed, check, 13, offset)
     )
     code, out, err = run(capsys, "verify", "--points", "20")
+    # a refusal with its reason, not a traceback's exit 1
     assert code == 2
     assert out == ""
     assert err.startswith(f"conetube: point 13: {reason}")
@@ -785,7 +782,12 @@ _ARGV = st.one_of(
     st.tuples(_SLOPE1, _SLOPE2, st.one_of(_REAL, st.floats(1e-12, 0.5).map(repr))).map(
         lambda a: ["tube", *a[0], *a[1], "--theta", a[2]]
     ),
-    st.tuples(st.integers(-1, 3), st.integers(-1, 2**32), _TOL).map(
+    # verify's cost grows with --points: small counts, and those above the cap
+    st.tuples(
+        st.one_of(st.integers(-1, 3), st.integers(cli._VERIFY_MAX_POINTS + 1, 10**80)),
+        st.integers(-1, 2**32),
+        _TOL,
+    ).map(
         lambda a: ["verify", "--points", str(a[0]), "--seed", str(a[1]), *a[2]]
     ),
 )

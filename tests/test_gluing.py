@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from conetube import (
     BASE_SHAPES,
-    BranchAnchors,
     GluingError,
     TetShapes,
     cusp_eigenvalues,
@@ -13,21 +15,23 @@ from conetube import (
     solve_shapes,
 )
 from conetube import gluing
-from conetube.gluing import CHART_RADIUS, sqrt_arguments
-from conetube.jets import BranchError, continue_sqrt
-from tests.oracles import alternate_eigenvalues, sqrt_along_path
+from conetube.gluing import CHART_RADIUS, cusp_logs, sqrt_arguments
+from conetube.jets import BranchError
+from tests.oracles import (
+    alternate_eigenvalues,
+    continue_sqrt,
+    continued_eigenvalues,
+    sqrt_along_path,
+    walked_point,
+)
 
 BASE = 0.5 + 0.5j
+EIGENVALUES = ("m1", "l1", "m2", "l2")
 
 
 def _walked(u: complex, v: complex, steps: int = 8):
-    """Shapes, anchors and eigenvalues continued along the straight chart path from base."""
-    anchors = BranchAnchors()
-    for k in range(1, steps + 1):
-        s = k / steps
-        shapes = solve_shapes(BASE + s * (u - BASE), BASE + s * (v - BASE))
-        ev = cusp_eigenvalues(shapes, anchors)
-        anchors = ev.anchors
+    """Shapes, root anchors and eigenvalues continued along the straight chart path from base."""
+    shapes, anchors, ev, _ = walked_point(u, v, steps)
     return shapes, anchors, ev
 
 
@@ -115,7 +119,8 @@ def test_alternate_forms_agree():
     rng = np.random.default_rng(11)
     for _ in range(12):
         du, dv = rng.uniform(-0.15, 0.15, 4).view(np.complex128)
-        shapes, anchors, ev = _walked(BASE + du, BASE + dv)
+        shapes, anchors, _ = _walked(BASE + du, BASE + dv)
+        ev = cusp_eigenvalues(shapes)
         alt = alternate_eigenvalues(shapes, anchors)
         assert abs(ev.m1 - alt.m1) < 1e-12
         assert abs(ev.l1 - alt.l1) < 1e-12
@@ -125,20 +130,24 @@ def test_alternate_forms_agree():
 
 def test_eigenvalue_products_on_variety():
     # m and l eigenvalue squares are rational in the shapes: check
-    # m1^2 against its defining shape ratio after continuation
-    shapes, _, ev = _walked(0.58 + 0.45j, 0.44 + 0.54j)
+    # m1^2 against its defining shape ratio
+    shapes = solve_shapes(0.58 + 0.45j, 0.44 + 0.54j)
+    ev = cusp_eigenvalues(shapes)
     z1, z2, z3, z4 = shapes.as_tuple()
     assert abs(ev.m1**2 - (1 - z4) / (1 - z2)) < 1e-13
     assert abs(ev.m2**2 - (1 - z2) / (1 - z1)) < 1e-13
 
 
-def test_big_jump_loses_branch():
-    # in-chart point too far for a single continuation step from the base
-    shapes = solve_shapes(0.293 + 0.368j, 0.651 + 0.541j)
+def test_a_far_point_gets_the_walked_eigenvalues_in_one_step():
+    # an in-chart point too far for a single continuation step from the base:
+    # its closed-form eigenvalues are the ones the walk reaches
+    shapes = solve_shapes(*FAR)
     with pytest.raises(GluingError, match="branch"):
-        cusp_eigenvalues(shapes, BranchAnchors())
-    # the same point is fine when walked
-    _walked(0.293 + 0.368j, 0.651 + 0.541j)
+        continued_eigenvalues(shapes)
+    _, _, walked = _walked(*FAR)
+    ev = cusp_eigenvalues(shapes)
+    for name in EIGENVALUES:
+        assert abs(getattr(ev, name) - getattr(walked, name)) <= 1e-14
 
 
 def test_base_jacobian_conditioning():
@@ -193,14 +202,61 @@ def test_batched_solve_equals_scalar_solve_per_row():
 
 
 def test_batched_walk_equals_scalar_walk():
+    # the closed form on a batch, on each row alone, and the walks of both
     rng = np.random.default_rng(21)
     du, dv = rng.uniform(-0.15, 0.15, size=(300, 4)).view(np.complex128).T
-    _, anchors, ev = _walked(BASE + du, BASE + dv)
+    shapes, _, walked = _walked(BASE + du, BASE + dv)
+    ev, logs = cusp_eigenvalues(shapes), cusp_logs(shapes)
     for i in range(du.size):
-        _, one_anchors, one = _walked(complex(BASE + du[i]), complex(BASE + dv[i]))
-        for name in ("m1", "l1", "m2", "l2"):
-            assert abs(getattr(ev, name)[i] - getattr(one, name)) <= 1e-13
-            assert abs(getattr(anchors, name)[1][i] - getattr(one_anchors, name)[1]) <= 1e-13
+        one_shapes, _, one_walked = _walked(complex(BASE + du[i]), complex(BASE + dv[i]))
+        one, one_logs = cusp_eigenvalues(one_shapes), cusp_logs(one_shapes)
+        assert type(one.m1) is complex and type(one_logs[0]) is complex
+        for k, name in enumerate(EIGENVALUES):
+            # numpy's log and exp against cmath's, a few units in the last place
+            assert abs(getattr(ev, name)[i] - getattr(one, name)) <= 1e-14 * abs(getattr(one, name))
+            assert abs(logs[k][i] - one_logs[k]) <= 1e-14
+            assert abs(getattr(ev, name)[i] - getattr(walked, name)[i]) <= 1e-13
+            assert abs(getattr(one, name) - getattr(one_walked, name)) <= 1e-13
+
+
+def test_closed_form_logs_equal_the_small_step_walk_over_the_chart():
+    # 10,000 chart points, a quarter of them on the torus |u-b| = |v-b| = radius
+    # where the radicands move most, as one row batch against the walk of
+    # every row from the base in 16 small steps
+    rng = np.random.default_rng(30)
+    n = 10_000
+    r = CHART_RADIUS * np.sqrt(rng.uniform(size=(2, n)))
+    r[:, : n // 4] = CHART_RADIUS * (1 - 1e-12)  # the walk's last step rounds
+    u, v = BASE + r * np.exp(2j * np.pi * rng.uniform(size=(2, n)))
+    _, _, walked, walked_logs = walked_point(u, v, 16)
+    logs = cusp_logs(solve_shapes(u, v))
+    for got, want in zip(logs, walked_logs):
+        assert np.abs(got - want).max() <= 1e-14
+    # the walk leaves the principal branch of some radicand: log(-l1) reaches |Im| > 1
+    assert max(np.abs(log.imag).max() for log in walked_logs) > 1.0
+    ev = cusp_eigenvalues(solve_shapes(u, v))
+    for name in EIGENVALUES:
+        got, want = getattr(ev, name), getattr(walked, name)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_a_radicand_whose_log_alone_is_off_by_2_pi_i_takes_its_sums_branch():
+    # oriented shapes off the variety with arg z3 + arg z4 - arg z1 - arg z2
+    # above pi: the principal log of z3 z4 / (z1 z2) is 2 pi i short of the sum
+    shapes = TetShapes(0.6 + 0.8j, 0.6 + 0.8j, -0.9 + 0.1j, -0.8 + 0.2j)
+    z1, z2, z3, z4 = shapes.as_tuple()
+    total = cmath.log(z3) + cmath.log(z4) - cmath.log(z1) - cmath.log(z2)
+    principal = cmath.log(sqrt_arguments(shapes)[1])
+    assert abs(total - principal - 2j * math.pi) < 1e-14
+    ratio1 = cmath.log(1 - z4) - cmath.log(1 - z2)
+    log_l1 = ratio1 + total / 2
+    assert abs(cusp_logs(shapes)[1] - log_l1) < 1e-15
+    assert abs(cusp_eigenvalues(shapes).l1 + cmath.exp(log_l1)) < 1e-15
+    rows = cusp_logs(TetShapes(*(np.full(3, z) for z in shapes.as_tuple())))
+    assert np.abs(rows[1] - log_l1).max() < 1e-15
+
+
+FAR = (0.293 + 0.368j, 0.651 + 0.541j)  # in the chart, too far for one small step
 
 
 def _shapes_with(bad: complex, row: int) -> TetShapes:
@@ -209,16 +265,10 @@ def _shapes_with(bad: complex, row: int) -> TetShapes:
     return TetShapes(z1, BASE, BASE, BASE)
 
 
-FAR = (0.293 + 0.368j, 0.651 + 0.541j)  # in the chart, one eigenvalue step away
 BAD_ROWS = {
     # name: (operation on a batch or on one point, bad point, error type)
     "chart radius": (solve_shapes, (BASE + CHART_RADIUS + 0.01, BASE), GluingError),
     "non-finite": (solve_shapes, (complex("nan"), BASE), ValueError),
-    "branch step": (
-        lambda u, v: cusp_eigenvalues(solve_shapes(u, v), BranchAnchors()),
-        FAR,
-        GluingError,
-    ),
 }
 
 
@@ -315,29 +365,3 @@ def test_row_log_gradients_equal_the_scalar_ones_per_row():
         shapes = solve_shapes(complex(BASE + du[i]), complex(BASE + dv[i]))
         one = np.array(gluing.log_eigenvalue_gradients(shapes))
         assert np.abs(rows[..., i] - one).max() <= 1e-13 * np.abs(one).max()
-
-
-def test_a_stacked_root_pass_refuses_every_branch_point_before_any_long_step():
-    # m1 takes a long step at row 5 and l1 hits 0 at row 2: the m1 call alone
-    # refuses row 5, but the stacked pass runs the branch-point guard first
-    args = np.ones((4, 6), dtype=complex)
-    args[0, 5], args[1, 2] = 3.0, 0.0
-    with pytest.raises(BranchError) as first_call:
-        continue_sqrt(args[0], 1.0 + 0j, 1.0 + 0j)
-    assert first_call.value.row == 5
-    with pytest.raises(BranchError) as stacked:
-        gluing._continue_stacked(continue_sqrt, tuple(args), ((1.0 + 0j, 1.0 + 0j),) * 4)
-    assert stacked.value.row == 2
-    assert stacked.value.reason == "square-root argument hit the branch point 0"
-    assert str(stacked.value) == "row 2: square-root argument hit the branch point 0"
-
-
-def test_a_stacked_root_refusal_names_the_row_and_the_scalar_reason():
-    u, v = np.full(5, BASE + 0.01), np.full(5, BASE - 0.01j)
-    u[3], v[3] = FAR
-    with pytest.raises(GluingError) as rows:
-        cusp_eigenvalues(solve_shapes(u, v))
-    with pytest.raises(GluingError) as one:
-        cusp_eigenvalues(solve_shapes(*FAR))
-    assert rows.value.row == 3 and rows.value.reason == str(one.value)
-    assert str(rows.value) == "eigenvalue branch lost: row 3: " + str(one.value).split(": ", 1)[1]

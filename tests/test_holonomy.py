@@ -17,7 +17,7 @@ from conetube import (
     y_from_l2,
 )
 from conetube.holonomy import (
-    BASE_X, BASE_Y, BASE_Z, _build_representation, _z_radicand, sl2_inverse,
+    BASE_X, BASE_Y, BASE_Z, _build_representation, _z_radicand, representation_at, sl2_inverse,
 )
 from tests.oracles import continue_representation, cusp_relation_residuals, l2_eigenvalue
 
@@ -178,15 +178,18 @@ def test_trace_identities_match_printed_forms_to_50_digits():
 def test_stacked_representations_equal_rows():
     points = list(_random_points(100, 0.12, seed=3))
     x, y = np.array(points).T
-    rep = _walk_to(x, y, steps=8)
+    rep = representation_at(x, y)
     r1, r2 = relation_residuals(rep)
     comm = commutator_trace_minus2(rep)
     c1, c2 = cusp_relation_residuals(rep)
     assert rep.gamma.shape == (100, 2, 2)
     for i, (xi, yi) in enumerate(points):
-        one = _walk_to(xi, yi, steps=8)
+        one = representation_at(xi, yi)
+        walked = _walk_to(xi, yi, steps=8)
         for name in ("alpha", "beta", "gamma"):
             assert np.abs(getattr(rep, name)[i] - getattr(one, name)).max() <= 1e-14
+            # the principal root is the branch the walk from the base reaches
+            assert np.abs(getattr(one, name) - getattr(walked, name)).max() <= 1e-14
         # the stacked residuals are the residuals of each row's matrices
         row = Representation(
             rep.x[i], rep.y[i], rep.z[i], rep.z_squared[i], rep.alpha[i], rep.beta[i], rep.gamma[i]
@@ -210,10 +213,11 @@ BAD_ROWS = {
     "x = 0": (_build, (0.0, BASE_Y, BASE_Z), HolonomyError),
     "z value": (_build, (BASE_X, BASE_Y, 1.1 * BASE_Z), HolonomyError),
     "non-finite": (_build, (complex("nan"), BASE_Y, BASE_Z), ValueError),
-    # one z step from the base anchor to y = 3 + 2i is too long
+    # the step of z from the base's branch to y = -0.1i leaves its half-plane:
+    # z^2 / BASE_Z_SQUARED = 2i / y = -20
     "branch step": (
-        lambda x, y, z: continue_representation(x, y),
-        (BASE_X, BASE_Y + 3.0, BASE_Z),
+        lambda x, y, z: representation_at(x, y),
+        (BASE_X, BASE_Y - 2.1j, BASE_Z),
         HolonomyError,
     ),
 }
@@ -251,6 +255,23 @@ def test_a_non_finite_parameter_is_refused_before_the_radicand():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as exc:
-            continue_representation(np.array([np.nan, -1.0]), np.array([2j, 2j]))
+            representation_at(np.array([np.nan, -1.0]), np.array([2j, 2j]))
     assert exc.value.row == 0
     assert exc.value.reason == "non-finite value (nan+0j)"
+
+
+def test_the_principal_z_is_the_walked_branch_over_verify_box():
+    # verify draws x and y within 0.12 of the base in both parts. The ratio
+    # z^2 / BASE_Z_SQUARED is holomorphic and nonzero there, so its argument
+    # is harmonic in x and in y and takes its extremes where both lie on the
+    # boundary of their squares: |arg| <= 0.546 (at a corner), far from the
+    # refused half-plane, and the principal root is the walked branch
+    edge = 0.12 * np.linspace(-1, 1, 401)
+    edge = np.concatenate([edge + 0.12j, edge - 0.12j, 0.12 + 1j * edge, -0.12 + 1j * edge])
+    x, y = (a.ravel() for a in np.meshgrid(BASE_X + edge, BASE_Y + edge))
+    _, z2 = _z_radicand(x, y)
+    assert np.abs(np.angle(z2 / 0.5j)).max() <= 0.55
+    rows = np.random.default_rng(40).choice(x.size, 200, replace=False)
+    rep = representation_at(x[rows], y[rows])
+    walked = _walk_to(x[rows], y[rows], steps=8)
+    assert np.abs(rep.z - walked.z).max() <= 1e-14

@@ -15,16 +15,14 @@ from conetube import (
     JetError,
     compose,
     constant,
-    continue_log,
-    continue_sqrt,
     jet_log,
     jet_sqrt,
     real_modulus_jet,
     reversion,
     variable,
 )
-from conetube.jets import _continue_sqrt_path, solve_series
-from tests.oracles import jet_exp, log_along_path, sqrt_along_path
+from conetube.jets import solve_series
+from tests.oracles import continue_log, continue_sqrt, jet_exp, log_along_path, sqrt_along_path
 
 finite_complex = st.builds(
     complex,
@@ -275,33 +273,6 @@ def test_continue_sqrt_refuses_a_bad_row(bad, row):
     with pytest.raises(BranchError) as one_exc:
         continue_sqrt(complex(bad), 1.0, 1.0)
     assert str(one_exc.value) == batch_exc.value.reason
-
-
-def _sqrt_path_args(rng, substeps: int, rows: int) -> np.ndarray:
-    """A walk of square-root arguments from 1: each substep moves every row by up to 30%."""
-    moves = 1 + rng.uniform(-0.3, 0.3, size=(substeps, rows, 2)).view(np.complex128)[..., 0]
-    return np.cumprod(moves, axis=0)
-
-
-@pytest.mark.parametrize("substeps, rows", [(1, 5), (8, 1), (8, 300)])
-def test_continue_sqrt_path_is_the_stepwise_walk_bit_for_bit(substeps, rows):
-    rng = np.random.default_rng(substeps * rows)
-    args = _sqrt_path_args(rng, substeps, rows)
-    anchor_value = rng.uniform(-2, 2, size=(rows, 2)).view(np.complex128)[:, 0]
-    path = _continue_sqrt_path(args, 1.0 + 0j, anchor_value)
-    arg, value = 1.0 + 0j, anchor_value
-    for k in range(substeps):
-        arg, value = args[k], continue_sqrt(args[k], arg, value)
-        assert np.array_equal(path[k], value)
-
-
-@pytest.mark.parametrize("bad, reason", [(0.0, "branch point 0"), (-1.0, "relative step")])
-def test_continue_sqrt_path_names_the_refused_substep_and_row(bad, reason):
-    args = _sqrt_path_args(np.random.default_rng(3), 8, 6)
-    args[4, 2] = bad
-    with pytest.raises(BranchError, match=rf"^row \(4, 2\): .*{reason}") as exc:
-        _continue_sqrt_path(args, 1.0 + 0j, 1.0 + 0j)
-    assert exc.value.row == (4, 2)
 
 
 def test_continue_log_steps_every_row():

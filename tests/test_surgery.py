@@ -25,7 +25,7 @@ from conetube import (
 from conetube.holonomy import y_from_l2
 from conetube.surgery import (
     _COMPLETE,
-    _continue_point,
+    _chart_point,
     _coordinates,
     _filled_base,
     _first_cusp_residual,
@@ -195,8 +195,8 @@ def test_theta_zero_is_base_point():
     for z in st.point.shapes.as_tuple():
         assert abs(z - (0.5 + 0.5j)) < 1e-12
     assert st.theta == 0.0
-    # the written-out complete structure is the solved and continued base point
-    assert st.point == _continue_point(_COMPLETE, 0.5 + 0.5j, 0.5 + 0.5j)
+    # the written-out complete structure is the solved base point
+    assert st.point == _chart_point(0.5 + 0.5j, 0.5 + 0.5j)
 
 
 def test_theta_bounds():
@@ -290,11 +290,11 @@ def test_a_large_filled_slope_converges_on_its_residuals_scale(p1):
     assert abs(curve.involution_defect()) < 1e-10
 
 
-def _central_jacobian(prev, residual, u, v, h=1e-6):
+def _central_jacobian(residual, u, v, h=1e-6):
     """d(residual)/d(u, v) by central differences: the residuals are holomorphic."""
 
     def value(uu, vv):
-        x = _coordinates(_continue_point(prev, uu, vv))
+        x = _coordinates(_chart_point(uu, vv))
         return [form.value(x) for form in residual]
 
     du = [(a - b) / (2 * h) for a, b in zip(value(u + h, v), value(u - h, v))]
@@ -316,11 +316,8 @@ def test_exact_jacobian_matches_central_differences(residual):
     rng = np.random.default_rng(31)
     for _ in range(6):
         u, v = base + rng.uniform(-0.2, 0.2, 4).view(np.complex128)
-        pt = _COMPLETE
-        for k in range(1, 9):  # continue the branches along the segment from the base
-            pt = _continue_point(pt, base + k / 8 * (u - base), base + k / 8 * (v - base))
-        exact = np.array(_jacobian(residual, pt))
-        reference = _central_jacobian(pt, residual, u, v)
+        exact = np.array(_jacobian(residual, _chart_point(u, v)))
+        reference = _central_jacobian(residual, u, v)
         assert np.abs(exact - reference).max() <= 1e-7 * np.abs(reference).max()
 
 
@@ -331,12 +328,13 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     solve = surgery.solve_shapes
     monkeypatch.setattr(surgery, "solve_shapes", lambda u, v: calls.append(1) or solve(u, v))
     structure = solve_cone_structure(None, Slope.make(1, 0), 0.5)
-    # 40 solves when each accepted Newton point was solved a second time, and
-    # 33 when each solve re-solved its start and theta began at a step of 0.01
-    assert len(calls) <= 11
+    # 40 solves when each accepted Newton point was solved a second time, 33
+    # when each solve re-solved its start and theta began at a step of 0.01,
+    # and 11 when a log step of more than half its argument was refused
+    assert len(calls) == 6
     ev = structure.point.eigenvalues
-    assert ev.m2 == complex(-0.9689124217106448, -0.24740395925452296)
-    assert ev.l2 == complex(-0.5376870547896764, -0.2937397767883748)
+    assert ev.m2 == complex(-0.9689124217106447, -0.24740395925452294)
+    assert ev.l2 == complex(-0.5376870547896764, -0.29373977678837493)
     # the small-step walk's bits, a different path to the same point
     assert abs(ev.m2 - complex(-0.9689124217106448, -0.24740395925452285)) <= 4.5e-16
     assert abs(ev.l2 - complex(-0.5376870547896765, -0.2937397767883748)) <= 4.5e-16
@@ -346,32 +344,36 @@ def test_each_chart_point_is_solved_and_continued_once(monkeypatch):
     import conetube.surgery as surgery
 
     solves, continued = [], []
-    solve, eigenvalues = surgery.solve_shapes, surgery.cusp_eigenvalues
+    solve, logs = surgery.solve_shapes, surgery.cusp_logs
     monkeypatch.setattr(surgery, "solve_shapes", lambda *a: solves.append(1) or solve(*a))
-    monkeypatch.setattr(
-        surgery, "cusp_eigenvalues", lambda *a, **k: continued.append(1) or eigenvalues(*a, **k)
-    )
+    monkeypatch.setattr(surgery, "cusp_logs", lambda *a: continued.append(1) or logs(*a))
     solve_cone_structure(None, Slope.make(1, 0), 0.5)
-    # one solve and one continuation per chart point that Newton visits past
-    # its start: the step to 0.5 is refused at its first point, then 0.25 and
-    # 0.5 take five each
-    assert (len(solves), len(continued)) == (11, 11)
+    # one solve and one set of cusp logs per chart point that Newton visits
+    # past its start: theta reaches 0.5 in one step of six points
+    assert (len(solves), len(continued)) == (6, 6)
 
 
 REFUSED = {
-    # one Newton step inside the chart, then a second whose branch step is too long
-    "branch": (lambda first: (first, _second_cusp_residual(Slope.make(2, 1), 1.45)), GluingError),
+    # a Newton step that leaves the chart, the region where the orientation
+    # fixes the cusp logs' branch: a chart-radius refusal
+    "branch": (
+        lambda first: (first, _second_cusp_residual(Slope.make(2, 1), 2.0)),
+        GluingError,
+        "chart coordinate",
+    ),
     # two equal rows: the Jacobian is singular
-    "singular": (lambda first: (_pinned_meridian(0.1), _pinned_meridian(0.1)), SurgeryError),
+    "singular": (
+        lambda first: (_pinned_meridian(0.1), _pinned_meridian(0.1)), SurgeryError, "singular"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_refused_newton_leaves_its_start_usable(case):
-    make, error = REFUSED[case]
+    make, error, reason = REFUSED[case]
     first = _first_cusp_residual(Slope.make(9, 1), 1.0)
     start = _filled_base(Slope.make(9, 1))
-    with pytest.raises(error):
+    with pytest.raises(error, match=reason):
         _newton(start, make(first))
     accepted = (first, _second_cusp_residual(Slope.make(1, 0), 0.05))
     assert _newton(start, accepted) == _newton(_filled_base(Slope.make(9, 1)), accepted)
