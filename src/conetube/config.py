@@ -32,7 +32,7 @@ class Tolerances:
     degenerate_shape: float = 1e-8  # distance of a tetrahedron shape from 0 or 1
     unit_determinant: float = 1e-8  # |det - 1| of an SL(2, C) holonomy matrix
     involution: float = 1e-9  # |a2 + m0 a1 - l0 a1^2| of a curve the cone expansion reads
-    filling_residual: float = 1e-12  # both filling relations at a solved cone structure
+    filling_residual: float = 1e-12  # a solved cone structure's filling relations, scale relative
     tube_identity: float = 1e-12  # relative miss of mu = theta sinh R and the area identity
     base_point: float = 1e-10  # a declared base point off its curve (value or sampler(0))
     crossing: float = 1e-8  # dA/dl, dA/dm read as zero (branch crossing), scale relative

@@ -18,14 +18,17 @@ samplers used for the convergence experiment.
 
 Each relation is affine in (m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)),
 so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
-those six quantities (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
-A parameter (the first cusp's 2 pi i target, then theta) is continued
-from 0 in one step to its target, halved after a refused Newton solve and
+the quantities it reads (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
+A cone structure is first one Newton solve from the complete structure
+``_COMPLETE`` to both relations at once, the whole deformation in one
+step. Only where a filled structure's step is refused does it take the
+staged walk: the first cusp's 2 pi i target continued from 0 with the
+meridian pinned (``_filled_base``), then theta; each continuation tries
+its whole range in one step, halved after a refused Newton solve and
 doubled after an accepted one. A chart point's logs are fixed by its
 shapes' orientation, not by the path to it (``_chart_point``), so a walk's
 whole state is its last accepted ``VarietyPoint``: Newton takes it as its
-first iterate, and a refused step leaves nothing to undo. ``_COMPLETE``
-starts every walk.
+first iterate, and a refused step leaves nothing to undo.
 
 The curve samplers solve the pinned meridian m2 = -1 + s from one base
 point. Given an array of s, as ``expand_from_samples`` gives its whole
@@ -238,13 +241,6 @@ def _coordinates(pt: VarietyPoint) -> tuple[complex, ...]:
     return (ev.m1, ev.m2, pt.log_m1, pt.log_l1, pt.log_m2, pt.log_l2)
 
 
-def _gradients(pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
-    """(d/du, d/dv) of each of ``_coordinates(pt)``; dm = m dlog(-m)."""
-    lm1, ll1, lm2, ll2 = log_eigenvalue_gradients(pt.shapes)
-    m1, m2 = pt.eigenvalues.m1, pt.eigenvalues.m2
-    return ((m1 * lm1[0], m1 * lm1[1]), (m2 * lm2[0], m2 * lm2[1]), lm1, ll1, lm2, ll2)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Affine:
     """The residual sum(c_k x_k) + const over x = _coordinates(pt)."""
@@ -263,12 +259,6 @@ class _Affine:
         """
         return sum(abs(c) * _at_least_one(abs(xk)) for c, xk in zip(self.coeffs, x) if c) + abs(
             self.const
-        )
-
-    def gradient(self, grads: tuple[tuple[complex, complex], ...]) -> tuple[complex, complex]:
-        return (
-            _combination(self.coeffs, [g[0] for g in grads]),
-            _combination(self.coeffs, [g[1] for g in grads]),
         )
 
 
@@ -295,10 +285,30 @@ def _combination(coeffs: tuple[complex, ...], xs) -> complex:
 _Residual = tuple[_Affine, _Affine]
 
 
+# the log(-eigenvalue) of log_eigenvalue_gradients that each of _coordinates moves with
+_LOG_OF = (0, 2, 0, 1, 2, 3)
+
+
 def _jacobian(residual: _Residual, pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
-    """Exact d(residual)/d(u, v) at pt, row-major."""
-    grads = _gradients(pt)
-    return residual[0].gradient(grads), residual[1].gradient(grads)
+    """Exact d(residual)/d(u, v) at pt, row-major.
+
+    Forms the gradient of each coordinate with a nonzero coefficient only; dm = m dlog(-m).
+    """
+    logs, ev = log_eigenvalue_gradients(pt.shapes), pt.eigenvalues
+    rows = []
+    for form in residual:
+        du = dv = None
+        for k, c in enumerate(form.coeffs):
+            if c:
+                gu, gv = logs[_LOG_OF[k]]
+                if k < 2:
+                    m = ev.m2 if k else ev.m1
+                    gu, gv = m * gu, m * gv
+                if c != 1:
+                    gu, gv = c * gu, c * gv
+                du, dv = (gu, gv) if du is None else (du + gu, dv + gv)
+        rows.append((du, dv))
+    return tuple(rows)
 
 
 def _pinned_meridian(shift: complex) -> _Affine:
@@ -474,25 +484,35 @@ def solve_cone_structure(
 
     slope1 None leaves the first cusp complete (m1 = -1); otherwise the
     first cusp carries the 2*pi relation p1 log(-m1) + q1 log(-l1) = pi i.
-    Reached by continuation: first in the first-cusp relation, then in
-    theta, each tried in one step that halves on failure and doubles on success.
+    Filled, one Newton solve from the complete structure comes first; if it
+    is refused, or unfilled, the continuation of the module docstring runs
+    and its refusal names the parameter reached. Each relation must end
+    within ``TOLERANCES.filling_residual`` times max(1, its scale) of 0.
     """
     theta = float(theta)
     if not 0.0 <= theta <= THETA_MAX:
         raise SurgeryError(f"theta {theta} outside [0, {THETA_MAX}]")
-    start = _COMPLETE if slope1 is None else _filled_base(slope1)
     first = _first_cusp_residual(slope1, 1.0)
 
     def residual_at(th: float) -> _Residual:
         return first, _second_cusp_residual(slope2, th)
 
-    pt = _continue_parameter(start, residual_at, theta, _THETA_STEP_MIN, "theta")
-    if theta == 0.0 and slope1 is not None:
-        pt = _newton(pt, residual_at(0.0))
+    if slope1 is None:
+        pt = _continue_parameter(_COMPLETE, residual_at, theta, _THETA_STEP_MIN, "theta")
+    else:
+        try:
+            pt = _newton(_COMPLETE, residual_at(theta))
+        except (SurgeryError, GluingError):
+            base = _filled_base(slope1)
+            pt = _continue_parameter(base, residual_at, theta, _THETA_STEP_MIN, "theta")
+            if theta == 0.0:
+                pt = _newton(pt, residual_at(0.0))
     structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)
+    x, tol = _coordinates(pt), TOLERANCES.filling_residual
     r1, r2 = structure.filling_residuals()
-    if max(abs(r1), abs(r2)) > TOLERANCES.filling_residual:
-        raise SurgeryError(f"filling residuals {(r1, r2)!r} above {TOLERANCES.filling_residual}")
+    for r, form in zip((r1, r2), residual_at(theta)):
+        if abs(r) > tol * _at_least_one(form.scale(x)):
+            raise SurgeryError(f"filling residuals {(r1, r2)!r} above {tol} times their scale")
     return structure
 
 

@@ -394,7 +394,28 @@ def _outcome(solve, slope1, slope2, theta):
     return measure_tube(structure), structure.point.eigenvalues
 
 
-@pytest.mark.parametrize("slope1", [None, (9, 1), (-7, 2), (12, 5), (3, 1)], ids=str)
+def _assert_same_outcome(got, want, case):
+    """A solve's outcome equals the small-step walk's: its refusal, or its structure to 1e-10."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (case, got)
+        # the library names the parameter its walk reached
+        reached = re.fullmatch(r"(tau|theta) \S+ of \S+ reached: (.*)", str(got))
+        assert reached and reached[2] == str(want), (case, got)
+        return
+    assert not isinstance(got, Exception), (case, got)
+    (tube, ev), (tube_ref, ev_ref) = got, want
+    for x, ref in (
+        (ev.m2, ev_ref.m2), (ev.l2, ev_ref.l2), (tube.mu_hat_sq, tube_ref.mu_hat_sq),
+        (tube.R, tube_ref.R), (tube.t, tube_ref.t),
+    ):
+        assert abs(x - ref) <= 1e-10 * abs(ref), case
+
+
+# (-5, 1), (4, 1) and (-3, 2): small first-cusp slopes, where the step of
+# the whole deformation is most often refused
+@pytest.mark.parametrize(
+    "slope1", [None, (9, 1), (-7, 2), (12, 5), (3, 1), (-5, 1), (4, 1), (-3, 2)], ids=str
+)
 def test_one_step_continuation_matches_the_small_step_walk(slope1):
     s1 = None if slope1 is None else Slope.make(*slope1)
     for slope2 in map(Slope.make, *zip(*GRID_SLOPES2)):
@@ -404,19 +425,69 @@ def test_one_step_continuation_matches_the_small_step_walk(slope1):
             case = (slope1, (slope2.p, slope2.q), theta)
             if slope1 == (3, 1):  # a chart refusal of the filled base
                 assert isinstance(want, GluingError) and str(got).startswith("tau "), case
-            if isinstance(want, Exception):
-                assert type(got) is type(want), case
-                # the library names the parameter its walk reached
-                reached = re.fullmatch(r"(tau|theta) \S+ of \S+ reached: (.*)", str(got))
-                assert reached and reached[2] == str(want), case
-                continue
-            assert not isinstance(got, Exception), (case, got)
-            (tube, ev), (tube_ref, ev_ref) = got, want
-            for x, ref in (
-                (ev.m2, ev_ref.m2), (ev.l2, ev_ref.l2), (tube.mu_hat_sq, tube_ref.mu_hat_sq),
-                (tube.R, tube_ref.R), (tube.t, tube_ref.t),
-            ):
-                assert abs(x - ref) <= 1e-10 * abs(ref), case
+            _assert_same_outcome(got, want, case)
+
+
+def _bench_cone_triples(count: int, seed: int) -> list[tuple[Slope, Slope, float]]:
+    """Filled (slope1, slope2, theta), drawn as the bench's cone block draws them.
+
+    First-cusp norms 5 to 60, second-cusp norms 1 to 6, each slope's q and
+    the sign of its p uniform, theta in (0, 0.5].
+    """
+    rng = np.random.default_rng(seed)
+
+    def slope(norm: int) -> Slope:
+        while True:
+            q = int(rng.integers(0, norm + 1))
+            p = (norm - q) * (1 if rng.random() < 0.5 else -1)
+            if math.gcd(p, q) == 1:
+                return Slope.make(p, q)
+
+    return [
+        (slope(int(rng.integers(5, 61))), slope(int(rng.integers(1, 7))), 0.5 * (1 - rng.random()))
+        for _ in range(count)
+    ]
+
+
+def test_the_whole_deformation_step_equals_the_small_step_walk():
+    refused = 0
+    for slope1, slope2, theta in _bench_cone_triples(200, 31):
+        want = _outcome(small_step_cone_structure, slope1, slope2, theta)
+        _assert_same_outcome(_outcome(solve_cone_structure, slope1, slope2, theta), want,
+                             (slope1, slope2, theta))
+        refused += isinstance(want, Exception)
+    # the draw reaches the refusals of the staged walk too
+    assert refused > 0
+
+
+@pytest.mark.parametrize(
+    "slope1, slope2, theta, points",
+    [
+        # one Newton solve from the complete structure: 10 points when the
+        # filled base was walked first, 7 when theta 0 re-solved that base
+        ((40, 1), (3, 1), 0.5, 5),
+        ((9, 1), (1, 0), 0.0, 6),
+        (None, (1, 0), 0.5, 6),
+    ],
+)
+def test_a_cone_structure_takes_one_newton_solve(monkeypatch, slope1, slope2, theta, points):
+    import conetube.surgery as surgery
+
+    calls, chart_point = [], surgery._chart_point
+    monkeypatch.setattr(surgery, "_chart_point", lambda u, v: calls.append(1) or chart_point(u, v))
+    s1 = None if slope1 is None else Slope.make(*slope1)
+    solve_cone_structure(s1, Slope.make(*slope2), theta)
+    assert len(calls) == points
+
+
+def test_the_final_check_refuses_a_structure_off_its_relations(monkeypatch):
+    import conetube.surgery as surgery
+
+    # a Newton that returns its start leaves theta's relation at -0.15i,
+    # above 1e-12 times its scale of 1 + 0.15
+    monkeypatch.setattr(surgery, "_newton", lambda start, residual: start)
+    with pytest.raises(SurgeryError, match=r"filling residuals \(.*\) above 1e-12 times"):
+        solve_cone_structure(None, Slope.make(1, 0), 0.3)
 
 
 # the stencil of expand_from_samples: 0, then h i^k for each default radius
