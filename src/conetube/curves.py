@@ -33,6 +33,9 @@ from .config import TOLERANCES
 from .jets import Jet, compose, constant, reversion, solve_series, variable
 
 _SLOPE_HINT_RELATIVE = 0.5
+# the largest degree in l or m that a polynomial may carry: its expansion
+# takes binomials of that size, which outgrow a float or the time of a call
+_MAX_DEGREE = 1000
 
 
 class CurveError(ValueError):
@@ -92,6 +95,8 @@ class BivariatePolynomial:
             dl, dm, c = int(dl), int(dm), complex(c)
             if dl < 0 or dm < 0:
                 raise CurveError(f"negative degree in the term l^{dl} m^{dm}")
+            if dl > _MAX_DEGREE or dm > _MAX_DEGREE:
+                raise CurveError(f"degree above {_MAX_DEGREE} in the term l^{dl} m^{dm}")
             if not cmath.isfinite(c):
                 raise CurveError(f"non-finite coefficient {c!r} of l^{dl} m^{dm}")
             if c != 0:
@@ -149,9 +154,10 @@ class BivariatePolynomial:
     @classmethod
     def from_json(cls, text: str) -> "BivariatePolynomial":
         try:
-            return cls.from_json_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
+            data = json.loads(text)
+        except ValueError as exc:  # a decode error, or an integer of too many digits
             raise CurveError(f"bad polynomial JSON: {exc}") from exc
+        return cls.from_json_dict(data)
 
 
 def whitehead_a_polynomial() -> BivariatePolynomial:

@@ -219,8 +219,8 @@ def sqrt_arguments(s: TetShapes) -> tuple[complex, complex, complex, complex]:
 
 def log_eigenvalue_gradients(
     s: TetShapes,
-) -> tuple[tuple[complex, complex], ...]:
-    """(d/du, d/dv) of log(-m1), log(-l1), log(-m2), log(-l2) on the variety.
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The d/du row and the d/dv row of (log(-m1), log(-l1), log(-m2), log(-l2)) on the variety.
 
     The chain rule through the forms of ``cusp_logs``:
     log(-m1) = 1/2 log((1-z4)/(1-z2)),
@@ -241,7 +241,7 @@ def log_eigenvalue_gradients(
             ratio2 / 2,
             ratio2 + (dlog2 + dlog4 - dlog1 - dlog3) / 2,
         ))
-    return tuple(zip(*rows))
+    return tuple(rows)
 
 
 def _on_branch(radicand, shape_logs, log, rint):

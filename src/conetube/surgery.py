@@ -5,8 +5,8 @@ A slope (p, q) on the second cusp imposes the filling relation
     p log(-m2) + q log(-l2) = i theta / 2
 
 with the cusp logs of ``gluing.cusp_logs``, which vanish at the complete
-structure; the first cusp is either unfilled (m1 = -1) or filled with its
-own slope (p1 log(-m1) + q1 log(-l1) = pi i).
+structure; the first cusp is either unfilled (log(-m1) = 0, so m1 = -1)
+or filled with its own slope (p1 log(-m1) + q1 log(-l1) = pi i).
 
 ``cone_expansion`` produces the order-3 theta-jets of (m2, l2) on a given
 geometric curve: dm2(theta) is the reversion of the filling relation, a
@@ -16,9 +16,12 @@ with it. The core length comes from the same jets with no dual pair.
 gluing-variety chart, providing the end-to-end check and the filled-curve
 samplers used for the convergence experiment.
 
-Each relation is affine in (m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)),
-so Newton on the chart takes its exact 2x2 Jacobian from the gradients of
-the quantities it reads (``gluing.log_eigenvalue_gradients``; dm = m dlog(-m)).
+Every relation the solver reads is one row (c1, c2, c3, c4; const) over
+the four cusp logs (log(-m1), log(-l1), log(-m2), log(-l2)), Neumann and
+Zagier's log-parameters: both filling relations, log(-m1) = 0 unfilled,
+and a pinned meridian log(-m2) = log(1 - s). So a row's exact gradient on
+the chart is its coefficients against ``gluing.log_eigenvalue_gradients``
+(``_jacobian``), and only ``_chart_point`` and ``_jacobian`` know the chart.
 A cone structure is first one Newton solve from the complete structure
 ``_COMPLETE`` to both relations at once, the whole deformation in one
 step. Only where a filled structure's step is refused does it take the
@@ -32,15 +35,14 @@ first iterate, and a refused step leaves nothing to undo.
 
 The curve samplers solve the pinned meridian m2 = -1 + s from one base
 point. Given an array of s, as ``expand_from_samples`` gives its whole
-stencil, ``_newton`` takes every s as one row of a single Newton pass
-(``_row_newton``): each row steps, polishes and stops as the scalar Newton
-does, ``_chart_point`` takes every chart point of a pass at once, and a
-refused row names its s. Cone structures and base walks take the
-scalar steps.
+stencil, the pinned row's constant is an array, and the one ``_newton``
+takes every s as one problem of a single pass: ``_chart_point`` takes
+every chart point of a pass at once, and a refused row names its s.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -235,31 +237,17 @@ class VarietyPoint:
     log_l2: complex
 
 
-def _coordinates(pt: VarietyPoint) -> tuple[complex, ...]:
-    """(m1, m2, log(-m1), log(-l1), log(-m2), log(-l2)): what residuals read."""
-    ev = pt.eigenvalues
-    return (ev.m1, ev.m2, pt.log_m1, pt.log_l1, pt.log_m2, pt.log_l2)
+# A relation is one row (c1, c2, c3, c4; const), the residual
+# c1 log(-m1) + c2 log(-l1) + c3 log(-m2) + c4 log(-l2) + const, held as the
+# pair (coefficients, const). An array const poses one problem per entry.
+_Row = tuple[tuple[complex, ...], complex]
+# a residual pair for the chart Newton
+_Residual = tuple[_Row, _Row]
 
 
-@dataclasses.dataclass(frozen=True)
-class _Affine:
-    """The residual sum(c_k x_k) + const over x = _coordinates(pt)."""
-
-    coeffs: tuple[complex, ...]
-    const: complex
-
-    def value(self, x: tuple[complex, ...]) -> complex:
-        return _combination(self.coeffs, x) + self.const
-
-    def scale(self, x: tuple[complex, ...]) -> float:
-        """sum |c_k| max(1, |x_k|) + |const|: what the value's rounding grows with.
-
-        A log near 0 still carries an absolute rounding of about eps, so a
-        term counts at least |c_k|, however small its x_k.
-        """
-        return sum(abs(c) * _at_least_one(abs(xk)) for c, xk in zip(self.coeffs, x) if c) + abs(
-            self.const
-        )
+def _logs(pt: VarietyPoint) -> tuple[complex, complex, complex, complex]:
+    """(log(-m1), log(-l1), log(-m2), log(-l2)): what every relation reads."""
+    return (pt.log_m1, pt.log_l1, pt.log_m2, pt.log_l2)
 
 
 def _at_least_one(size):
@@ -281,44 +269,57 @@ def _combination(coeffs: tuple[complex, ...], xs) -> complex:
     return 0 if total is None else total
 
 
-# a residual pair for the chart Newton
-_Residual = tuple[_Affine, _Affine]
+def _value(row: _Row, logs: tuple) -> complex:
+    coeffs, const = row
+    return _combination(coeffs, logs) + const
 
 
-# the log(-eigenvalue) of log_eigenvalue_gradients that each of _coordinates moves with
-_LOG_OF = (0, 2, 0, 1, 2, 3)
+def _scale(row: _Row, logs: tuple):
+    coeffs, const = row
+    return sum(abs(c) * _at_least_one(abs(x)) for c, x in zip(coeffs, logs) if c) + abs(const)
+
+
+def _within(row: _Row, value, logs: tuple, tol: float):
+    """Whether |value| < tol max(1, scale), scale = sum |c_k| max(1, |log_k|) + |const|.
+
+    The scale bounds the rounding of the row's sum: a filled cusp's
+    p log(-m) + q log(-l) - pi i sums terms of modulus about pi to 0, so its
+    bound is about 2 pi times the absolute one, room for the rounding that
+    grows with |p|; and p2 log(-m2) carries |p2| eps of it even where the
+    log is near 0, which the floor of |c_k| per term covers. The scale is
+    formed only where the absolute test fails. Rows are judged elementwise.
+    """
+    size = abs(value)
+    if type(size) is float:
+        return size < tol or size < tol * _scale(row, logs)
+    small = size < tol
+    return small if small.all() else small | (size < tol * _scale(row, logs))
 
 
 def _jacobian(residual: _Residual, pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
-    """Exact d(residual)/d(u, v) at pt, row-major.
-
-    Forms the gradient of each coordinate with a nonzero coefficient only; dm = m dlog(-m).
-    """
-    logs, ev = log_eigenvalue_gradients(pt.shapes), pt.eigenvalues
-    rows = []
-    for form in residual:
-        du = dv = None
-        for k, c in enumerate(form.coeffs):
-            if c:
-                gu, gv = logs[_LOG_OF[k]]
-                if k < 2:
-                    m = ev.m2 if k else ev.m1
-                    gu, gv = m * gu, m * gv
-                if c != 1:
-                    gu, gv = c * gu, c * gv
-                du, dv = (gu, gv) if du is None else (du + gu, dv + gv)
-        rows.append((du, dv))
-    return tuple(rows)
+    """Exact d(residual)/d(u, v) at pt, row-major: each row's coefficients on the log gradients."""
+    du, dv = log_eigenvalue_gradients(pt.shapes)
+    return tuple((_combination(coeffs, du), _combination(coeffs, dv)) for coeffs, _ in residual)
 
 
-def _pinned_meridian(shift: complex) -> _Affine:
-    """m2 + 1 - shift."""
-    return _Affine((0, 1, 0, 0, 0, 0), 1.0 - shift)
+def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Row:
+    """log(-m1) unfilled; p1 log(-m1) + q1 log(-l1) - tau pi i filled."""
+    if slope1 is None:
+        return (1, 0, 0, 0), 0
+    return (slope1.p, slope1.q, 0, 0), -tau * 1j * math.pi
 
 
-def _second_cusp_residual(slope2: Slope, theta: float) -> _Affine:
+def _second_cusp_residual(slope2: Slope, theta: float) -> _Row:
     """p2 log(-m2) + q2 log(-l2) - i theta / 2."""
-    return _Affine((0, 0, 0, 0, slope2.p, slope2.q), -0.5j * theta)
+    return (0, 0, slope2.p, slope2.q), -0.5j * theta
+
+
+def _pinned_meridian(shift) -> _Row:
+    """log(-m2) - log(1 - shift): the meridian m2 = -1 + shift, one row per entry of an array."""
+    zero = shift == 1
+    _refuse(zero, SurgeryError, lambda i: "the pinned meridian is 0, where log(-m2) is undefined")
+    log = np.log if isinstance(shift, np.ndarray) else cmath.log
+    return (0, 0, 1, 0), -log((1 + 0j) - shift)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -329,10 +330,10 @@ class SolvedStructure:
     theta: float
 
     def filling_residuals(self) -> tuple[complex, complex]:
-        x = _coordinates(self.point)
+        logs = _logs(self.point)
         return (
-            _first_cusp_residual(self.slope1, 1.0).value(x),
-            _second_cusp_residual(self.slope2, self.theta).value(x),
+            _value(_first_cusp_residual(self.slope1, 1.0), logs),
+            _value(_second_cusp_residual(self.slope2, self.theta), logs),
         )
 
 
@@ -351,93 +352,40 @@ def _chart_point(u: complex, v: complex) -> VarietyPoint:
     return VarietyPoint(u, v, shapes, _exp_eigenvalues(logs), *logs)
 
 
-def _scaled_small(residual: _Residual, x: tuple, f1, f2):
-    """Whether each residual is below ``TOLERANCES.newton`` times max(1, its scale).
-
-    The scale bounds the rounding of the residual's sum: a filled cusp's
-    p log(-m) + q log(-l) - pi i sums terms of modulus about pi to 0, so its
-    bound is about 2 pi times the absolute one, room for the rounding that
-    grows with |p|; and p2 log(-m2) carries |p2| eps of it even where the
-    log is near 0, which the scale's floor of |c_k| per term covers. Newton
-    calls this only where the absolute test fails, so a residual that
-    passes that test never forms its scale. Rows are judged elementwise.
-    """
-    tol = TOLERANCES.newton
-    a1, a2 = abs(f1), abs(f2)
-    return ((a1 < tol) | (a1 < tol * residual[0].scale(x))) & (
-        (a2 < tol) | (a2 < tol * residual[1].scale(x))
-    )
-
-
 def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
     """The converged point of residual = 0, Newton from start.
 
-    A residual with an array constant, one row per problem, takes
-    ``_row_newton``; numbers take the scalar steps below.
+    A relation whose constant is an array poses one problem per entry, all
+    from start: the first step shares start's Jacobian, each pass takes
+    every problem's chart point in one ``_chart_point``, and the returned
+    point holds arrays. Every problem steps until both relations are within
+    ``TOLERANCES.newton`` times max(1, their scale) (``_within``); then all
+    take one polishing step. A refused problem refuses the batch with the
+    exception type and message of one problem, prefixed ``row i:``
+    (``jets._refuse``); the error carries ``row`` and ``reason``. When the
+    iterations run out, the problem named is one whose polishing step was
+    never read: it was not within its bound on both of the last two passes.
     """
-    if isinstance(residual[0].const, np.ndarray) or isinstance(residual[1].const, np.ndarray):
-        return _row_newton(start, residual)
-    u, v = start.u, start.v
-    tol = TOLERANCES.newton
-    polish = False
+    row1, row2 = residual
+    u, v, tol = start.u, start.v, TOLERANCES.newton
+    polish = small = False
     for k in range(_NEWTON_MAX_ITER):
         pt = _chart_point(u, v) if k else start
-        x = _coordinates(pt)
-        f1, f2 = residual[0].value(x), residual[1].value(x)
-        if polish or max(abs(f1), abs(f2)) < tol or _scaled_small(residual, x, f1, f2):
-            if polish:
-                return pt
-            polish = True
-        (j11, j12), (j21, j22) = _jacobian(residual, pt)
-        det = j11 * j22 - j12 * j21
-        if abs(det) < TOLERANCES.singular:
-            raise SurgeryError("filling Jacobian is singular")
-        u -= (f1 * j22 - f2 * j12) / det
-        v -= (j11 * f2 - j21 * f1) / det
-    raise SurgeryError("filling Newton failed to converge")
-
-
-def _row_newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
-    """``_newton`` with one problem per row of the residuals' constants, all from start.
-
-    Each row takes the scalar Newton's steps on its own: the first from
-    start with start's Jacobian, shared by every row; then it polishes once
-    its residual is below the bound, and after that step it is frozen (its
-    point is recomputed unchanged while other rows go on). Each pass takes
-    every row's chart point in one ``_chart_point`` on arrays. A refused row
-    refuses the batch with the scalar exception type and message, prefixed
-    ``row i:``; the error carries ``row`` and ``reason``. The returned point
-    holds arrays, one row per problem.
-    """
-    tol = TOLERANCES.newton
-    shape = np.broadcast(residual[0].const, residual[1].const).shape
-    u, v = np.full(shape, start.u), np.full(shape, start.v)
-    polish, done = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    for k in range(_NEWTON_MAX_ITER):
-        pt = _chart_point(u, v) if k else start
-        x = _coordinates(pt)
-        f1, f2 = residual[0].value(x), residual[1].value(x)
-        done |= polish
-        if done.all():
+        if polish:
             return pt
-        small = np.maximum(abs(f1), abs(f2)) < tol
-        polish |= small if small.all() else _scaled_small(residual, x, f1, f2)
+        logs = _logs(pt)
+        f1, f2 = _value(row1, logs), _value(row2, logs)
+        was_small, small = small, _within(row1, f1, logs, tol) & _within(row2, f2, logs, tol)
+        polish = small if type(small) is bool else small.all()
         (j11, j12), (j21, j22) = _jacobian(residual, pt)
         det = j11 * j22 - j12 * j21
-        live = ~done
-        singular = live & (abs(det) < TOLERANCES.singular)
+        singular = abs(det) < TOLERANCES.singular
         _refuse(singular, SurgeryError, lambda i: "filling Jacobian is singular")
-        det = np.where(live, det, 1.0)
-        u = np.where(live, u - (f1 * j22 - f2 * j12) / det, u)
-        v = np.where(live, v - (j11 * f2 - j21 * f1) / det, v)
-    _refuse(~done, SurgeryError, lambda i: "filling Newton failed to converge")
-
-
-def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Affine:
-    """m1 + 1 unfilled; p1 log(-m1) + q1 log(-l1) - tau pi i filled."""
-    if slope1 is None:
-        return _Affine((1, 0, 0, 0, 0, 0), 1.0)
-    return _Affine((0, 0, slope1.p, slope1.q, 0, 0), -tau * 1j * math.pi)
+        u = u - (f1 * j22 - f2 * j12) / det
+        v = v - (j11 * f2 - j21 * f1) / det
+    # a problem within its bound on both of the last two passes had its polishing step read
+    unread = np.logical_not(was_small & small)
+    _refuse(unread, SurgeryError, lambda i: "filling Newton failed to converge")
 
 
 def _continue_parameter(
@@ -508,19 +456,19 @@ def solve_cone_structure(
             if theta == 0.0:
                 pt = _newton(pt, residual_at(0.0))
     structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)
-    x, tol = _coordinates(pt), TOLERANCES.filling_residual
+    logs, tol = _logs(pt), TOLERANCES.filling_residual
     r1, r2 = structure.filling_residuals()
-    for r, form in zip((r1, r2), residual_at(theta)):
-        if abs(r) > tol * _at_least_one(form.scale(x)):
+    for r, row in zip((r1, r2), residual_at(theta)):
+        if not _within(row, r, logs, tol):
             raise SurgeryError(f"filling residuals {(r1, r2)!r} above {tol} times their scale")
     return structure
 
 
-def _meridian_pinned_sampler(base: VarietyPoint, first: _Affine) -> Callable:
+def _meridian_pinned_sampler(base: VarietyPoint, first: _Row) -> Callable:
     """Sampler s -> (m2, l2) solving {first-cusp relation, m2 = -1 + s} from base.
 
-    A number s is one Newton solve. An ndarray of s is one row Newton with
-    a row per s, returning arrays; a refused row names its s.
+    A number s is one Newton solve. An ndarray of s is one Newton pass with
+    a problem per s, returning arrays; a refused problem names its s.
     """
 
     def sample(s):
@@ -544,7 +492,7 @@ def filled_curve_sampler(slope1: Slope) -> Callable[[complex], tuple[complex, co
     """Sampler of the second-cusp curve with the first cusp filled along slope1.
 
     Solves the filled base point once; each call is an independent Newton
-    solve from that point (one row Newton for an array of s), so the
+    solve from that point (one Newton pass for an array of s), so the
     sampler is reentrant. Small slopes put the filled base point outside
     the chart, hence the norm floor.
     """

@@ -60,11 +60,12 @@ from conetube.surgery import (
     _THETA_STEP_MIN,
     SolvedStructure,
     SurgeryError,
-    _coordinates,
     _first_cusp_residual,
+    _logs,
     _newton,
     _pinned_meridian,
     _second_cusp_residual,
+    _within,
 )
 from conetube.tube import TubeError
 
@@ -399,10 +400,10 @@ def small_step_cone_structure(slope1, slope2, theta: float) -> SolvedStructure:
 
     pt = _small_step_walk(start, residual_at, theta, 0.01, _THETA_STEP_MIN)
     structure = SolvedStructure(point=pt, slope1=slope1, slope2=slope2, theta=theta)
-    x, tol = _coordinates(pt), TOLERANCES.filling_residual
+    logs, tol = _logs(pt), TOLERANCES.filling_residual
     r1, r2 = structure.filling_residuals()
-    for r, form in zip((r1, r2), residual_at(theta)):
-        if abs(r) > tol * max(1.0, form.scale(x)):
+    for r, row in zip((r1, r2), residual_at(theta)):
+        if not _within(row, r, logs, tol):
             raise SurgeryError(f"filling residuals {(r1, r2)!r} above {tol} times their scale")
     return structure
 

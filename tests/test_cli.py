@@ -20,9 +20,10 @@ from conetube import (
     expand_from_samples,
     filled_curve_sampler,
     k_expansions,
+    whitehead_a_polynomial,
     whitehead_k_reference,
 )
-from conetube import cli
+from conetube import cli, curves
 from conetube.cli import main
 from tests.oracles import (
     coprime_slope_pairs,
@@ -701,6 +702,18 @@ MALFORMED_POLYNOMIALS = {
         '{"terms": [{"dl": 1, "dm": 0, "re": true}, {"dl": 0, "dm": 0, "re": -1.0}]}',
         "coefficient True is not a number",
     ),
+    # the built-in polynomial plus l^N (m^2 - 1)^2, N = 10^300: its binomials
+    # overflowed a float, and at N = 10^5 the expansion took seconds
+    "degree above the cap": (
+        json.dumps({"terms": whitehead_a_polynomial().to_json_dict()["terms"] + [
+            {"dl": 10**300, "dm": dm, "re": c} for dm, c in ((4, 1.0), (2, -2.0), (0, 1.0))
+        ]}),
+        "degree above 1000 in the term l^1%s m^4" % ("0" * 300),
+    ),
+    # json reads an integer of more than 4300 digits with a ValueError of its own
+    "degree of too many digits": (
+        '{"terms": [{"dl": 1%s, "dm": 0, "re": 1.0}]}' % ("0" * 5000), "bad polynomial JSON"
+    ),
 }
 
 
@@ -797,9 +810,7 @@ _ARGV = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_ARGV, missing_output=st.booleans())
-def test_every_input_exits_0_2_or_3_with_a_one_line_reason(argv, missing_output):
+def _assert_exits_0_2_or_3_with_a_one_line_reason(argv, missing_output):
     if missing_output:
         argv = argv + ["--output", str(Path(__file__).parent / "no such directory" / "out")]
     out, err = io.StringIO(), io.StringIO()
@@ -817,3 +828,68 @@ def test_every_input_exits_0_2_or_3_with_a_one_line_reason(argv, missing_output)
         assert code == 3, (code, lines)
         assert lines[0].startswith("usage: conetube "), lines
         assert re.match(rf"conetube {argv[0]}: error: .", lines[-1]), lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_ARGV, missing_output=st.booleans())
+def test_every_input_exits_0_2_or_3_with_a_one_line_reason(argv, missing_output):
+    _assert_exits_0_2_or_3_with_a_one_line_reason(argv, missing_output)
+
+
+# a --polynomial file's degrees and coefficient parts as JSON text: small
+# valid ones, and booleans, non-integral, negative, non-finite, above the
+# degree cap, of more digits than json reads, or not numbers
+_DEGREE = st.one_of(
+    st.integers(0, 4).map(str),
+    st.integers(-(10**400), -1).map(str),
+    st.integers(curves._MAX_DEGREE + 1, 10**400).map(str),
+    st.sampled_from(["true", "false", "1.5", "-0.5", "2.0", "1e300", "null", '"x"', "1" + "0" * 5000]),
+)
+_PART = st.one_of(
+    st.floats(-8, 8).map(repr),
+    st.sampled_from(["true", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "null", '"abc"']),
+)
+_TERM = st.tuples(_DEGREE, _DEGREE, _PART, st.one_of(st.just(""), _PART.map(', "im": {}'.format))).map(
+    lambda t: '{"dl": %s, "dm": %s, "re": %s%s}' % t
+)
+# c l^a m^b and -c l^a m^(b+1) cancel at the base point (-1, -1), so a file
+# with such a pair gets past the root check to the expansion, which reads
+# the degrees
+_CANCELLING_PAIR = st.tuples(_DEGREE, st.integers(0, 4), _PART).map(
+    lambda t: '{"dl": %s, "dm": %d, "re": %s}, {"dl": %s, "dm": %d, "re": -%s}'
+    % (t[0], t[1], t[2], t[0], t[1] + 1, t[2])
+)
+_BUILTIN_TERMS = [json.dumps(term) for term in whitehead_a_polynomial().to_json_dict()["terms"]]
+_POLYNOMIAL_TEXT = st.one_of(
+    st.just('{"terms": [%s]}' % ", ".join(_BUILTIN_TERMS)),
+    # the built-in terms with drawn ones added, and drawn terms alone, empty included
+    st.lists(st.one_of(_TERM, _CANCELLING_PAIR), max_size=2).map(
+        lambda ts: '{"terms": [%s]}' % ", ".join(_BUILTIN_TERMS + ts)
+    ),
+    st.lists(_TERM, max_size=3).map(lambda ts: '{"terms": [%s]}' % ", ".join(ts)),
+    st.sampled_from(["", "{terms: [", "[]", "null", "{}", '{"terms": 3}', '{"terms": [1]}']),
+)
+# the commands that read --polynomial: the first cusp unfilled, each at a small cost
+_POLYNOMIAL_ARGV = st.sampled_from([
+    ["acoeffs"],
+    ["acoeffs", "--unfilled"],
+    ["kcoeffs", "--p2", "3", "--q2", "1"],
+    ["k1scan", "--max", "2"],
+    ["converge", "--n", "8"],
+])
+
+
+@pytest.fixture(scope="session")
+def polynomial_dir(tmp_path_factory):
+    """One directory for every drawn --polynomial file; hypothesis refuses a per-test tmp_path."""
+    return tmp_path_factory.mktemp("polynomials")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_POLYNOMIAL_ARGV, text=_POLYNOMIAL_TEXT, missing_output=st.booleans())
+def test_every_polynomial_file_exits_0_2_or_3_with_a_one_line_reason(
+    polynomial_dir, argv, text, missing_output
+):
+    poly = polynomial_dir / "poly.json"
+    poly.write_text(text)
+    _assert_exits_0_2_or_3_with_a_one_line_reason(argv + ["--polynomial", str(poly)], missing_output)

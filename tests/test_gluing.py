@@ -360,7 +360,7 @@ def test_row_log_gradients_equal_the_scalar_ones_per_row():
     rng = np.random.default_rng(26)
     du, dv = rng.uniform(-0.2, 0.2, size=(300, 4)).view(np.complex128).T
     rows = np.asarray(gluing.log_eigenvalue_gradients(solve_shapes(BASE + du, BASE + dv)))
-    assert rows.shape == (4, 2, 300)
+    assert rows.shape == (2, 4, 300)
     for i in range(du.size):
         shapes = solve_shapes(complex(BASE + du[i]), complex(BASE + dv[i]))
         one = np.array(gluing.log_eigenvalue_gradients(shapes))

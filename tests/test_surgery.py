@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 import re
 
@@ -26,13 +27,14 @@ from conetube.holonomy import y_from_l2
 from conetube.surgery import (
     _COMPLETE,
     _chart_point,
-    _coordinates,
     _filled_base,
     _first_cusp_residual,
     _jacobian,
+    _logs,
     _newton,
     _pinned_meridian,
     _second_cusp_residual,
+    _value,
 )
 from tests.conftest import A1, A2, A3
 from tests.oracles import (
@@ -294,29 +296,52 @@ def _central_jacobian(residual, u, v, h=1e-6):
     """d(residual)/d(u, v) by central differences: the residuals are holomorphic."""
 
     def value(uu, vv):
-        x = _coordinates(_chart_point(uu, vv))
-        return [form.value(x) for form in residual]
+        logs = _logs(_chart_point(uu, vv))
+        return [_value(row, logs) for row in residual]
 
     du = [(a - b) / (2 * h) for a, b in zip(value(u + h, v), value(u - h, v))]
     dv = [(a - b) / (2 * h) for a, b in zip(value(u, v + h), value(u, v - h))]
     return np.array([[du[0], dv[0]], [du[1], dv[1]]])
 
 
+def _principal(ev):
+    """The four cusp logs as principal logs of -eigenvalue: their branch near the base."""
+    return [cmath.log(-x) for x in (ev.m1, ev.l1, ev.m2, ev.l2)]
+
+
 @pytest.mark.parametrize(
-    "residual",
+    "residual, value",
     [
-        (_first_cusp_residual(None, 1.0), _second_cusp_residual(Slope.make(3, -2), 0.2)),
-        (_first_cusp_residual(Slope.make(9, 1), 1.0), _second_cusp_residual(Slope.make(1, 1), 0.1)),
-        (_first_cusp_residual(Slope.make(-7, 2), 0.5), _pinned_meridian(0.01 + 0.02j)),
+        # the unfilled row log(-m1), once m1 + 1
+        (
+            (_first_cusp_residual(None, 1.0), _second_cusp_residual(Slope.make(3, -2), 0.2)),
+            lambda x: (x[0], 3 * x[2] - 2 * x[3] - 0.1j),
+        ),
+        (
+            (
+                _first_cusp_residual(Slope.make(9, 1), 1.0),
+                _second_cusp_residual(Slope.make(1, 1), 0.1),
+            ),
+            lambda x: (9 * x[0] + x[1] - math.pi * 1j, x[2] + x[3] - 0.05j),
+        ),
+        # the pinned row log(-m2) - log(1 - s), once m2 + 1 - s
+        (
+            (_first_cusp_residual(Slope.make(-7, 2), 0.5), _pinned_meridian(0.01 + 0.02j)),
+            lambda x: (-7 * x[0] + 2 * x[1] - 0.5j * math.pi, x[2] - cmath.log(0.99 - 0.02j)),
+        ),
     ],
     ids=["unfilled", "filled", "pinned"],
 )
-def test_exact_jacobian_matches_central_differences(residual):
+def test_exact_jacobian_matches_central_differences(residual, value):
     base = 0.5 + 0.5j
     rng = np.random.default_rng(31)
     for _ in range(6):
         u, v = base + rng.uniform(-0.2, 0.2, 4).view(np.complex128)
-        exact = np.array(_jacobian(residual, _chart_point(u, v)))
+        pt = _chart_point(u, v)
+        # each row is the relation it names over the cusp logs
+        rows = [_value(row, _logs(pt)) for row in residual]
+        assert np.abs(np.subtract(rows, value(_principal(pt.eigenvalues)))).max() <= 1e-14
+        exact = np.array(_jacobian(residual, pt))
         reference = _central_jacobian(residual, u, v)
         assert np.abs(exact - reference).max() <= 1e-7 * np.abs(reference).max()
 
@@ -334,7 +359,8 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     assert len(calls) == 6
     ev = structure.point.eigenvalues
     assert ev.m2 == complex(-0.9689124217106447, -0.24740395925452294)
-    assert ev.l2 == complex(-0.5376870547896764, -0.29373977678837493)
+    # one ulp from the bits of the unfilled relation m1 + 1, before it was log(-m1)
+    assert ev.l2 == complex(-0.5376870547896764, -0.2937397767883748)
     # the small-step walk's bits, a different path to the same point
     assert abs(ev.m2 - complex(-0.9689124217106448, -0.24740395925452285)) <= 4.5e-16
     assert abs(ev.l2 - complex(-0.5376870547896765, -0.2937397767883748)) <= 4.5e-16
@@ -551,6 +577,15 @@ def test_a_row_that_does_not_converge_names_its_s(monkeypatch):
         sampler(np.array([0.0, 0.01]))
     assert str(one.value) == "filling Newton failed to converge"
     assert str(rows.value) == f"s = {complex(0.01)!r}: {one.value}"
+
+
+def test_a_meridian_pinned_at_zero_is_refused_before_its_log():
+    # m2 = -1 + s = 0 has no log(-m2): no warning, and the row names its s
+    sampler = unfilled_curve_sampler()
+    with pytest.raises(SurgeryError, match=r"^the pinned meridian is 0"):
+        sampler(1.0)
+    with pytest.raises(SurgeryError, match=r"^s = \(1\+0j\): the pinned meridian is 0"):
+        sampler(np.array([0.0, 1.0 + 0j]))
 
 
 def test_a_refused_row_keeps_the_scalar_type_and_message():
