@@ -50,7 +50,9 @@ the cusp logs). On the row path every guard runs on every row with the
 scalar threshold: finiteness, ``CHART_RADIUS``, the root's orientation and
 the degenerate-shape check. One failing row refuses the batch with the
 scalar path's exception type, and the message starts ``row i:``; the
-error carries ``row`` and ``reason``.
+error carries ``row`` and ``reason``. Where every row passes, the guards
+cost two combined tests. ``_solve`` also returns the quadratic's A and B,
+from which ``_gradients`` forms the log gradients without solving again.
 """
 
 from __future__ import annotations
@@ -83,7 +85,17 @@ class TetShapes:
         return (self.z1, self.z2, self.z3, self.z4)
 
     def check_nondegenerate(self) -> "TetShapes":
-        tol = TOLERANCES.degenerate_shape
+        """Refuse a non-finite shape or one within ``degenerate_shape`` of 0 or 1.
+
+        One combined test passes good shapes; only where it fails do the
+        tests run shape by shape, so a refusal names the first bad shape.
+        """
+        tol, fine = TOLERANCES.degenerate_shape, True
+        for z in self.as_tuple():
+            size = abs(z)
+            fine = fine & (size >= tol) & (size < math.inf) & (abs(z - 1.0) >= tol)
+        if fine if type(fine) is bool else fine.all():
+            return self
         if isinstance(self.z1, np.ndarray):
             for z in self.as_tuple():
                 _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
@@ -117,7 +129,7 @@ def _quadratic(u: complex, v: complex) -> tuple[complex, complex, complex]:
 
 
 def _oriented_root(u, v):
-    """(z3, z4) of the one root at (u, v) with Im z3 > 0 and Im z4 > 0.
+    """(z3, z4) of the root at (u, v) with Im z3 > 0 and Im z4 > 0, then the quadratic's A, B.
 
     Both roots come from one square root of the discriminant. A point where
     not exactly one root is positively oriented is refused; a row batch
@@ -141,17 +153,44 @@ def _oriented_root(u, v):
     if scalar:
         if first == second:
             raise GluingError(_unoriented(u, v, 2 * first))
-        return (z3, z4) if first else (y3, y4)
+        return ((z3, z4) if first else (y3, y4)) + (qa, qb)
     _refuse(
         first == second,
         GluingError,
         lambda i: _unoriented(complex(u[i]), complex(v[i]), 2 * int(first[i])),
     )
-    return np.where(first, z3, y3), np.where(first, z4, y4)
+    return np.where(first, z3, y3), np.where(first, z4, y4), qa, qb
 
 
 def _unoriented(u: complex, v: complex, count: int) -> str:
     return f"{count} of the 2 roots at chart point ({u!r}, {v!r}) are positively oriented, not 1"
+
+
+def _solve(u, v):
+    """``solve_shapes`` with the quadratic's A and B, which ``_gradients`` reuses.
+
+    The finiteness and radius guards run as one test, which a non-finite
+    coordinate fails too; only where it fails do they run one by one, in
+    order, so a refusal keeps its type, row and message.
+    """
+    rows = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
+    if rows:
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
+    else:
+        u, v = complex(u), complex(v)
+    du, dv = abs(u - BASE_SHAPE), abs(v - BASE_SHAPE)
+    inside = (du <= CHART_RADIUS) & (dv <= CHART_RADIUS)
+    if not (inside.all() if rows else inside):
+        for z in np.asarray(u), np.asarray(v):
+            _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
+        radius = np.maximum(du, dv)
+        _refuse(
+            radius > CHART_RADIUS,
+            GluingError,
+            lambda i: f"chart coordinate {radius[i]:.3f} from base exceeds radius {CHART_RADIUS}",
+        )
+    z3, z4, qa, qb = _oriented_root(u, v)
+    return TetShapes(u, v, z3, z4).check_nondegenerate(), qa, qb
 
 
 def solve_shapes(u, v) -> TetShapes:
@@ -160,40 +199,33 @@ def solve_shapes(u, v) -> TetShapes:
     ``u`` and ``v`` are numbers, or arrays of chart points (one per row) on
     the row path of the module docstring.
     """
-    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-        for z in (u, v):
-            _refuse(~np.isfinite(z), ValueError, lambda i: f"non-finite value {complex(z[i])!r}")
-        radius = np.maximum(abs(u - BASE_SHAPE), abs(v - BASE_SHAPE))
-        _refuse(
-            radius > CHART_RADIUS,
-            GluingError,
-            lambda i: f"chart coordinate {radius[i]:.3f} from base exceeds radius {CHART_RADIUS}",
-        )
-    else:
-        u, v = complex(u), complex(v)
-        ensure_finite(u, v)
-        radius = max(abs(u - BASE_SHAPE), abs(v - BASE_SHAPE))
-        if radius > CHART_RADIUS:
-            raise GluingError(
-                f"chart coordinate {radius:.3f} from base exceeds radius {CHART_RADIUS}"
-            )
-    z3, z4 = _oriented_root(u, v)
-    return TetShapes(u, v, z3, z4).check_nondegenerate()
+    return _solve(u, v)[0]
 
 
-def _shape_derivatives(s: TetShapes) -> tuple[complex, complex, complex, complex]:
-    """(dz3/du, dz3/dv, dz4/du, dz4/dv) on the variety, by implicit differentiation."""
+def _gradients(s: TetShapes, qa, qb) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """``log_eigenvalue_gradients`` given the quadratic's A and B at (z1, z2)."""
     u, v, z3, z4 = s.as_tuple()
-    qa, qb, _ = _quadratic(u, v)
     w, a, b = 1 - z3, 1 - u, 1 - v
-    # F(w, u, v) = A w^2 + B w + C; dw = -(dF/du du + dF/dv dv) / (dF/dw)
+    # dz3 and dz4 on the variety, by implicit differentiation of
+    # F(w, u, v) = A w^2 + B w + C: dw = -(dF/du du + dF/dv dv) / (dF/dw)
     f_w = 2 * qa * w + qb
     f_u = -b * w * w + v * (2 - 2 * u - v) * w - v * (1 - 2 * u)
     f_v = -(2 - u - 2 * v) * w * w + u * (2 - u - 2 * v) * w - u * a
     w_u, w_v = -f_u / f_w, -f_v / f_w
-    # z4 = 1 - b w / a
-    return -w_u, -w_v, -b * (a * w_u + w) / (a * a), (w - b * w_v) / a
+    # z3 = 1 - w and z4 = 1 - b w / a
+    z3u, z3v, z4u, z4v = -w_u, -w_v, -b * (a * w_u + w) / (a * a), (w - b * w_v) / a
+    # the chain rule with (dz1, dz2) = (1, 0) for d/du and (0, 1) for d/dv,
+    # each zero term left out and each quotient kept a division
+    dlog1, dlog2, c4 = 1.0 / u, 1.0 / v, 1 - z4
+    ratio1u, ratio2u = -(z4u / c4), 1.0 / a  # d log((1-z4)/(1-z2)), d log((1-z2)/(1-z1))
+    ratio1v, ratio2v = 1.0 / b - z4v / c4, -(1.0 / b)
+    dlog3u, dlog4u, dlog3v, dlog4v = z3u / z3, z4u / z4, z3v / z3, z4v / z4
+    return (
+        (ratio1u / 2, ratio1u + (dlog3u + dlog4u - dlog1) / 2,
+         ratio2u / 2, ratio2u + (dlog4u - dlog1 - dlog3u) / 2),
+        (ratio1v / 2, ratio1v + (dlog3v + dlog4v - dlog2) / 2,
+         ratio2v / 2, ratio2v + (dlog2 + dlog4v - dlog3v) / 2),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,20 +260,7 @@ def log_eigenvalue_gradients(
     with (1-z2)/(1-z1) and z2 z4 / (z1 z3) for the second cusp. Branches
     do not enter: the derivative of a log is the same on every sheet.
     """
-    z1, z2, z3, z4 = s.as_tuple()
-    z3u, z3v, z4u, z4v = _shape_derivatives(s)
-    rows = []
-    for d1, d2, d3, d4 in ((1.0, 0.0, z3u, z4u), (0.0, 1.0, z3v, z4v)):
-        dlog1, dlog2, dlog3, dlog4 = d1 / z1, d2 / z2, d3 / z3, d4 / z4
-        ratio1 = d2 / (1 - z2) - d4 / (1 - z4)  # d log((1-z4)/(1-z2))
-        ratio2 = d1 / (1 - z1) - d2 / (1 - z2)  # d log((1-z2)/(1-z1))
-        rows.append((
-            ratio1 / 2,
-            ratio1 + (dlog3 + dlog4 - dlog1 - dlog2) / 2,
-            ratio2 / 2,
-            ratio2 + (dlog2 + dlog4 - dlog1 - dlog3) / 2,
-        ))
-    return tuple(rows)
+    return _gradients(s, *_quadratic(s.z1, s.z2)[:2])
 
 
 def _on_branch(radicand, shape_logs, log, rint):

@@ -69,9 +69,10 @@ def _refuse(bad: np.ndarray, error: type[ValueError], reason: Callable[[tuple], 
     ``bad`` has the batch shape; ``reason(i)`` words the refusal for the
     batch index ``i`` (``()`` for an unbatched input, which raises the bare
     reason). A batch refusal of any error type says ``row i: ...`` and
-    carries ``row`` and ``reason`` attributes, as ``JetError`` does.
+    carries ``row`` and ``reason`` attributes, as ``JetError`` does. A
+    Python ``False``, what a guard on numbers gives, returns at once.
     """
-    if not np.count_nonzero(bad):
+    if bad is False or not np.count_nonzero(bad):
         return
     if np.ndim(bad) == 0:
         raise error(reason(()))

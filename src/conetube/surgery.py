@@ -19,9 +19,12 @@ samplers used for the convergence experiment.
 Every relation the solver reads is one row (c1, c2, c3, c4; const) over
 the four cusp logs (log(-m1), log(-l1), log(-m2), log(-l2)), Neumann and
 Zagier's log-parameters: both filling relations, log(-m1) = 0 unfilled,
-and a pinned meridian log(-m2) = log(1 - s). So a row's exact gradient on
-the chart is its coefficients against ``gluing.log_eigenvalue_gradients``
-(``_jacobian``), and only ``_chart_point`` and ``_jacobian`` know the chart.
+and a pinned meridian log(-m2) = log(1 - s). A row lists its nonzero
+terms once, so its value and its exact gradient on the chart are those
+terms against the cusp logs and against ``gluing.log_eigenvalue_gradients``.
+One ``_newton`` pass evaluates the chart once at its iterate: its shapes,
+their cusp logs, and the logs' gradients from the same solve. Eigenvalues
+are formed only for the point it returns.
 A cone structure is first one Newton solve from the complete structure
 ``_COMPLETE`` to both relations at once, the whole deformation in one
 step. Only where a filled structure's step is refused does it take the
@@ -29,14 +32,14 @@ staged walk: the first cusp's 2 pi i target continued from 0 with the
 meridian pinned (``_filled_base``), then theta; each continuation tries
 its whole range in one step, halved after a refused Newton solve and
 doubled after an accepted one. A chart point's logs are fixed by its
-shapes' orientation, not by the path to it (``_chart_point``), so a walk's
-whole state is its last accepted ``VarietyPoint``: Newton takes it as its
-first iterate, and a refused step leaves nothing to undo.
+shapes' orientation, not by the path to it (``gluing.cusp_logs``), so a
+walk's whole state is its last accepted ``VarietyPoint``: Newton takes it
+as its first iterate, and a refused step leaves nothing to undo.
 
 The curve samplers solve the pinned meridian m2 = -1 + s from one base
 point. Given an array of s, as ``expand_from_samples`` gives its whole
 stencil, the pinned row's constant is an array, and the one ``_newton``
-takes every s as one problem of a single pass: ``_chart_point`` takes
+takes every s as one problem of a single pass: each evaluation takes
 every chart point of a pass at once, and a refused row names its s.
 """
 
@@ -59,9 +62,10 @@ from .gluing import (
     GluingError,
     TetShapes,
     _exp_eigenvalues,
+    _gradients,
+    _solve,
     cusp_logs,
     log_eigenvalue_gradients,
-    solve_shapes,
 )
 from .jets import Jet, JetError, _refuse, compose, jet_log, reversion, variable
 
@@ -239,10 +243,15 @@ class VarietyPoint:
 
 # A relation is one row (c1, c2, c3, c4; const), the residual
 # c1 log(-m1) + c2 log(-l1) + c3 log(-m2) + c4 log(-l2) + const, held as the
-# pair (coefficients, const). An array const poses one problem per entry.
-_Row = tuple[tuple[complex, ...], complex]
+# pair (terms, const) with the nonzero terms listed once, as pairs (k, c_k)
+# with k = 0..3. An array const poses one problem per entry.
+_Row = tuple[tuple[tuple[int, complex], ...], complex]
 # a residual pair for the chart Newton
 _Residual = tuple[_Row, _Row]
+
+
+def _row(coeffs: tuple[complex, ...], const) -> _Row:
+    return tuple([(k, c) for k, c in enumerate(coeffs) if c]), const
 
 
 def _logs(pt: VarietyPoint) -> tuple[complex, complex, complex, complex]:
@@ -255,28 +264,27 @@ def _at_least_one(size):
     return max(1.0, size) if type(size) is float else np.maximum(1.0, size)
 
 
-def _combination(coeffs: tuple[complex, ...], xs) -> complex:
-    """sum(c x) over the nonzero coefficients c, taking x itself for c = 1.
+def _combination(terms: tuple[tuple[int, complex], ...], xs) -> complex:
+    """sum(c x_k) over a row's nonzero terms (k, c), taking x_k itself for c = 1.
 
     Skipping the zero and unit multiplies changes at most the sign of a
     zero, and saves most of the work on rows.
     """
     total = None
-    for c, x in zip(coeffs, xs):
-        if c:
-            term = x if c == 1 else c * x
-            total = term if total is None else total + term
+    for k, c in terms:
+        term = xs[k] if c == 1 else c * xs[k]
+        total = term if total is None else total + term
     return 0 if total is None else total
 
 
 def _value(row: _Row, logs: tuple) -> complex:
-    coeffs, const = row
-    return _combination(coeffs, logs) + const
+    terms, const = row
+    return _combination(terms, logs) + const
 
 
 def _scale(row: _Row, logs: tuple):
-    coeffs, const = row
-    return sum(abs(c) * _at_least_one(abs(x)) for c, x in zip(coeffs, logs) if c) + abs(const)
+    terms, const = row
+    return sum(abs(c) * _at_least_one(abs(logs[k])) for k, c in terms) + abs(const)
 
 
 def _within(row: _Row, value, logs: tuple, tol: float):
@@ -296,22 +304,16 @@ def _within(row: _Row, value, logs: tuple, tol: float):
     return small if small.all() else small | (size < tol * _scale(row, logs))
 
 
-def _jacobian(residual: _Residual, pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
-    """Exact d(residual)/d(u, v) at pt, row-major: each row's coefficients on the log gradients."""
-    du, dv = log_eigenvalue_gradients(pt.shapes)
-    return tuple((_combination(coeffs, du), _combination(coeffs, dv)) for coeffs, _ in residual)
-
-
 def _first_cusp_residual(slope1: Slope | None, tau: float) -> _Row:
     """log(-m1) unfilled; p1 log(-m1) + q1 log(-l1) - tau pi i filled."""
     if slope1 is None:
-        return (1, 0, 0, 0), 0
-    return (slope1.p, slope1.q, 0, 0), -tau * 1j * math.pi
+        return _row((1, 0, 0, 0), 0)
+    return _row((slope1.p, slope1.q, 0, 0), -tau * 1j * math.pi)
 
 
 def _second_cusp_residual(slope2: Slope, theta: float) -> _Row:
     """p2 log(-m2) + q2 log(-l2) - i theta / 2."""
-    return (0, 0, slope2.p, slope2.q), -0.5j * theta
+    return _row((0, 0, slope2.p, slope2.q), -0.5j * theta)
 
 
 def _pinned_meridian(shift) -> _Row:
@@ -319,7 +321,7 @@ def _pinned_meridian(shift) -> _Row:
     zero = shift == 1
     _refuse(zero, SurgeryError, lambda i: "the pinned meridian is 0, where log(-m2) is undefined")
     log = np.log if isinstance(shift, np.ndarray) else cmath.log
-    return (0, 0, 1, 0), -log((1 + 0j) - shift)
+    return _row((0, 0, 1, 0), -log((1 + 0j) - shift))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -337,50 +339,55 @@ class SolvedStructure:
         )
 
 
-_MINUS_ONE = complex(-1.0, -0.0)  # -exp(0j): the base's eigenvalue, as _chart_point gives it
+_MINUS_ONE = complex(-1.0, -0.0)  # -exp(0j): the base's eigenvalue, as _newton gives it
 _COMPLETE = VarietyPoint(
     u=BASE_SHAPE, v=BASE_SHAPE, shapes=BASE_SHAPES,
     eigenvalues=CuspEigenvalues(_MINUS_ONE, _MINUS_ONE, _MINUS_ONE, _MINUS_ONE),
     log_m1=0j, log_l1=0j, log_m2=0j, log_l2=0j,
 )
-
-
-def _chart_point(u: complex, v: complex) -> VarietyPoint:
-    """The chart point (u, v) with its eigenvalues and cusp logs; arrays give one point per row."""
-    shapes = solve_shapes(u, v)
-    logs = cusp_logs(shapes)
-    return VarietyPoint(u, v, shapes, _exp_eigenvalues(logs), *logs)
+# the log gradients at _COMPLETE, where every unfilled and every one-step filled solve starts
+_COMPLETE_GRADIENTS = log_eigenvalue_gradients(BASE_SHAPES)
 
 
 def _newton(start: VarietyPoint, residual: _Residual) -> VarietyPoint:
     """The converged point of residual = 0, Newton from start.
 
-    A relation whose constant is an array poses one problem per entry, all
-    from start: the first step shares start's Jacobian, each pass takes
-    every problem's chart point in one ``_chart_point``, and the returned
-    point holds arrays. Every problem steps until both relations are within
-    ``TOLERANCES.newton`` times max(1, their scale) (``_within``); then all
-    take one polishing step. A refused problem refuses the batch with the
-    exception type and message of one problem, prefixed ``row i:``
-    (``jets._refuse``); the error carries ``row`` and ``reason``. When the
-    iterations run out, the problem named is one whose polishing step was
-    never read: it was not within its bound on both of the last two passes.
+    One pass solves its iterate's shapes once and reads their cusp logs and
+    the logs' gradients, with each row's nonzero terms; only the returned
+    point is built as a ``VarietyPoint`` with eigenvalues. A relation whose
+    constant is an array poses one problem per entry, all from start: the
+    first step shares start's Jacobian, each pass solves every problem's
+    chart point at once, and the returned point holds arrays. Every problem
+    steps until both relations are within ``TOLERANCES.newton`` times
+    max(1, their scale) (``_within``); then all take one polishing step. A
+    refused problem refuses the batch with the exception type and message
+    of one problem, prefixed ``row i:`` (``jets._refuse``); the error
+    carries ``row`` and ``reason``. When the iterations run out, the problem
+    named is one whose polishing step was never read: it was not within its
+    bound on both of the last two passes.
     """
     row1, row2 = residual
-    u, v, tol = start.u, start.v, TOLERANCES.newton
+    (terms1, _), (terms2, _) = residual
+    u, v, tol, singular = start.u, start.v, TOLERANCES.newton, TOLERANCES.singular
+    logs = _logs(start)
+    du, dv = _COMPLETE_GRADIENTS if start is _COMPLETE else log_eigenvalue_gradients(start.shapes)
     polish = small = False
     for k in range(_NEWTON_MAX_ITER):
-        pt = _chart_point(u, v) if k else start
-        if polish:
-            return pt
-        logs = _logs(pt)
+        if k:
+            shapes, qa, qb = _solve(u, v)
+            logs = cusp_logs(shapes)
+            if polish:
+                return VarietyPoint(u, v, shapes, _exp_eigenvalues(logs), *logs)
+            du, dv = _gradients(shapes, qa, qb)
         f1, f2 = _value(row1, logs), _value(row2, logs)
-        was_small, small = small, _within(row1, f1, logs, tol) & _within(row2, f2, logs, tol)
+        was_small, small = small, _within(row1, f1, logs, tol)
+        if small is not False:  # numbers skip the second test once the first fails
+            small = small & _within(row2, f2, logs, tol)
         polish = small if type(small) is bool else small.all()
-        (j11, j12), (j21, j22) = _jacobian(residual, pt)
+        j11, j12 = _combination(terms1, du), _combination(terms1, dv)
+        j21, j22 = _combination(terms2, du), _combination(terms2, dv)
         det = j11 * j22 - j12 * j21
-        singular = abs(det) < TOLERANCES.singular
-        _refuse(singular, SurgeryError, lambda i: "filling Jacobian is singular")
+        _refuse(abs(det) < singular, SurgeryError, lambda i: "filling Jacobian is singular")
         u = u - (f1 * j22 - f2 * j12) / det
         v = v - (j11 * f2 - j21 * f1) / det
     # a problem within its bound on both of the last two passes had its polishing step read

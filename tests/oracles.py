@@ -14,7 +14,9 @@ continuation steps, the k1scan slopes listed pair by pair, and the
 exponential of a jet, against which ``jet_log`` and ``compose`` are
 checked. None of them is used by the library. Beside them live the
 test-only helpers that the library no longer exports: the longitude
-eigenvalue of the family, and the cusp relation residuals.
+eigenvalue of the family, the cusp relation residuals, and a chart point
+with its eigenvalues and its exact filling Jacobian, which the library's
+Newton evaluates in one pass.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from conetube.gluing import (
     GluingError,
     TetShapes,
     cusp_eigenvalues,
+    cusp_logs,
+    log_eigenvalue_gradients,
     residuals,
     solve_shapes,
     sqrt_arguments,
@@ -60,6 +64,8 @@ from conetube.surgery import (
     _THETA_STEP_MIN,
     SolvedStructure,
     SurgeryError,
+    VarietyPoint,
+    _combination,
     _first_cusp_residual,
     _logs,
     _newton,
@@ -357,6 +363,52 @@ def _axis_distance_R(structure):
 
 # ---------------------------------------------------------------------------
 # cone structures
+
+
+def chart_point(u, v) -> VarietyPoint:
+    """The chart point (u, v) with its eigenvalues and cusp logs; arrays give one point per row.
+
+    The point as the library's Newton returns it, built from the public
+    gluing functions one by one.
+    """
+    shapes = solve_shapes(u, v)
+    logs = cusp_logs(shapes)
+    return VarietyPoint(u, v, shapes, cusp_eigenvalues(shapes), *logs)
+
+
+def chain_rule_gradients(s: TetShapes) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """``log_eigenvalue_gradients`` by the chain rule with (dz1, dz2) kept general.
+
+    dz3 and dz4 come from implicit differentiation of the z3 quadratic with
+    its coefficients formed again, and both rows run one loop over
+    (dz1, dz2) = (1, 0) and (0, 1), zero terms and all.
+    """
+    u, v, z3, z4 = s.as_tuple()
+    qa, qb = (1 - v) * (1 - u - v), u * v * (2 - u - v)
+    w, a, b = 1 - z3, 1 - u, 1 - v
+    f_w = 2 * qa * w + qb
+    f_u = -b * w * w + v * (2 - 2 * u - v) * w - v * (1 - 2 * u)
+    f_v = -(2 - u - 2 * v) * w * w + u * (2 - u - 2 * v) * w - u * a
+    w_u, w_v = -f_u / f_w, -f_v / f_w
+    z3u, z3v, z4u, z4v = -w_u, -w_v, -b * (a * w_u + w) / (a * a), (w - b * w_v) / a
+    rows = []
+    for d1, d2, d3, d4 in ((1.0, 0.0, z3u, z4u), (0.0, 1.0, z3v, z4v)):
+        dlog1, dlog2, dlog3, dlog4 = d1 / u, d2 / v, d3 / z3, d4 / z4
+        ratio1 = d2 / (1 - v) - d4 / (1 - z4)  # d log((1-z4)/(1-z2))
+        ratio2 = d1 / (1 - u) - d2 / (1 - v)  # d log((1-z2)/(1-z1))
+        rows.append((
+            ratio1 / 2,
+            ratio1 + (dlog3 + dlog4 - dlog1 - dlog2) / 2,
+            ratio2 / 2,
+            ratio2 + (dlog2 + dlog4 - dlog1 - dlog3) / 2,
+        ))
+    return tuple(rows)
+
+
+def jacobian(residual, pt: VarietyPoint) -> tuple[tuple[complex, complex], ...]:
+    """Exact d(residual)/d(u, v) at pt, row-major: each row's coefficients on the log gradients."""
+    du, dv = log_eigenvalue_gradients(pt.shapes)
+    return tuple((_combination(terms, du), _combination(terms, dv)) for terms, _ in residual)
 
 
 def _small_step_walk(start, make_residual, target: float, step: float, min_step: float):

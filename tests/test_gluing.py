@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from conetube.gluing import CHART_RADIUS, cusp_logs, sqrt_arguments
 from conetube.jets import BranchError
 from tests.oracles import (
     alternate_eigenvalues,
+    chain_rule_gradients,
     continue_sqrt,
     continued_eigenvalues,
     sqrt_along_path,
@@ -298,6 +300,43 @@ def test_degenerate_row_refuses_the_batch(bad):
     _shapes_with(BASE, 3).check_nondegenerate()
 
 
+# Points that fail one guard each once the chart radius is 0.8: inside it,
+# DEGENERATE has z1 = 1e-9 with one oriented root and UNORIENTED has none
+GOOD, OUTSIDE = (BASE + 0.01, BASE - 0.01j), (BASE + 0.9, BASE)
+DEGENERATE, UNORIENTED = (1e-9 + 0j, BASE), (1 - 1e-9j, BASE)
+NAN, INF = complex("nan"), complex("inf")
+PRECEDENCE = {
+    # rows that fail different guards: the first guard in order (u finite,
+    # v finite, chart radius, orientation, then each shape finite or not
+    # degenerate) names its first failing row, whatever later rows fail
+    "nan u after an outside row": ([GOOD, OUTSIDE, GOOD, (NAN, BASE)], ValueError, 3,
+                                   "non-finite value (nan+0j)"),
+    "u before v": ([(BASE, NAN), GOOD, (INF, BASE)], ValueError, 2, "non-finite value (inf+0j)"),
+    "radius before orientation": ([GOOD, UNORIENTED, OUTSIDE], GluingError, 2,
+                                  "chart coordinate 0.900 from base exceeds radius 0.8"),
+    "orientation before degeneracy": (
+        [DEGENERATE, UNORIENTED], GluingError, 1,
+        "0 of the 2 roots at chart point ((1-1e-09j), (0.5+0.5j)) are positively oriented, not 1",
+    ),
+    "z1 before z2": ([(BASE, 1e-9 + 0j), GOOD, DEGENERATE], GluingError, 2,
+                     "degenerate tetrahedron shape (1e-09+0j)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECEDENCE))
+def test_rows_that_fail_different_guards_are_refused_in_guard_order(monkeypatch, name):
+    points, error, row, reason = PRECEDENCE[name]
+    monkeypatch.setattr(gluing, "CHART_RADIUS", 0.8)
+    u, v = (np.array(column) for column in zip(*points))
+    with pytest.raises(error) as batch:
+        solve_shapes(u, v)
+    assert type(batch.value) is error
+    assert (batch.value.row, batch.value.reason) == (row, reason)
+    assert str(batch.value) == f"row {row}: {reason}"
+    with pytest.raises(error, match=f"^{re.escape(reason)}$"):
+        solve_shapes(*points[row])
+
+
 def test_the_root_choice_refuses_the_branch_locus():
     # the discriminant vanishes here (0.40 from the base, outside the chart):
     # the two roots nearly coincide, so their orientation cannot tell them apart
@@ -337,7 +376,7 @@ def test_exactly_one_root_is_positively_oriented_over_the_chart():
     assert margin.min(axis=0).max() <= -0.1
     assert np.abs(_discriminant(u, v, 1.0)).min() >= 0.03
     chosen = roots[oriented.argmax(axis=0), :, np.arange(n)].T
-    assert np.abs(np.array(gluing._oriented_root(u, v)) - chosen).max() <= 1e-14
+    assert np.abs(np.array(gluing._oriented_root(u, v)[:2]) - chosen).max() <= 1e-14
 
 
 def test_the_oriented_root_is_the_one_continued_from_the_base():
@@ -354,6 +393,21 @@ def test_the_oriented_root_is_the_one_continued_from_the_base():
         qb = u * v * (2 - u - v)
         z3 = 1 - (-qb + root) / (2 * qa)
         assert abs(solve_shapes(u, v).z3 - z3) <= 1e-12
+
+
+def test_log_gradients_keep_the_bits_of_the_general_chain_rule():
+    # leaving out the zero terms of (dz1, dz2) = (1, 0) and (0, 1), and the
+    # quadratic formed a second time, moves no bit of the gradient rows
+    rng = np.random.default_rng(37)
+    d = rng.uniform(-CHART_RADIUS, CHART_RADIUS, size=(300, 4)).view(np.complex128)
+    du, dv = d[(abs(d) <= CHART_RADIUS).all(axis=1)].T
+    points = [(BASE, BASE)] + [(complex(BASE + a), complex(BASE + b)) for a, b in zip(du, dv)]
+    for u, v in points:
+        shapes = solve_shapes(u, v)
+        assert repr(gluing.log_eigenvalue_gradients(shapes)) == repr(chain_rule_gradients(shapes))
+    shapes = solve_shapes(BASE + du * 0.7, BASE + dv * 0.7)
+    rows, want = gluing.log_eigenvalue_gradients(shapes), chain_rule_gradients(shapes)
+    assert repr(np.asarray(rows).tolist()) == repr(np.asarray(want).tolist())
 
 
 def test_row_log_gradients_equal_the_scalar_ones_per_row():

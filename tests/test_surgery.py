@@ -23,13 +23,12 @@ from conetube import (
     unfilled_curve_sampler,
     variable,
 )
+from conetube.gluing import BASE_SHAPES, log_eigenvalue_gradients
 from conetube.holonomy import y_from_l2
 from conetube.surgery import (
     _COMPLETE,
-    _chart_point,
     _filled_base,
     _first_cusp_residual,
-    _jacobian,
     _logs,
     _newton,
     _pinned_meridian,
@@ -38,8 +37,10 @@ from conetube.surgery import (
 )
 from tests.conftest import A1, A2, A3
 from tests.oracles import (
+    chart_point,
     continue_representation,
     cusp_relation_residuals,
+    jacobian,
     small_step_cone_structure,
 )
 
@@ -198,7 +199,7 @@ def test_theta_zero_is_base_point():
         assert abs(z - (0.5 + 0.5j)) < 1e-12
     assert st.theta == 0.0
     # the written-out complete structure is the solved base point
-    assert st.point == _chart_point(0.5 + 0.5j, 0.5 + 0.5j)
+    assert st.point == chart_point(0.5 + 0.5j, 0.5 + 0.5j)
 
 
 def test_theta_bounds():
@@ -296,7 +297,7 @@ def _central_jacobian(residual, u, v, h=1e-6):
     """d(residual)/d(u, v) by central differences: the residuals are holomorphic."""
 
     def value(uu, vv):
-        logs = _logs(_chart_point(uu, vv))
+        logs = _logs(chart_point(uu, vv))
         return [_value(row, logs) for row in residual]
 
     du = [(a - b) / (2 * h) for a, b in zip(value(u + h, v), value(u - h, v))]
@@ -337,11 +338,11 @@ def test_exact_jacobian_matches_central_differences(residual, value):
     rng = np.random.default_rng(31)
     for _ in range(6):
         u, v = base + rng.uniform(-0.2, 0.2, 4).view(np.complex128)
-        pt = _chart_point(u, v)
+        pt = chart_point(u, v)
         # each row is the relation it names over the cusp logs
         rows = [_value(row, _logs(pt)) for row in residual]
         assert np.abs(np.subtract(rows, value(_principal(pt.eigenvalues)))).max() <= 1e-14
-        exact = np.array(_jacobian(residual, pt))
+        exact = np.array(jacobian(residual, pt))
         reference = _central_jacobian(residual, u, v)
         assert np.abs(exact - reference).max() <= 1e-7 * np.abs(reference).max()
 
@@ -350,8 +351,8 @@ def test_newton_commits_its_point_without_solving_it_again(monkeypatch):
     import conetube.surgery as surgery
 
     calls = []
-    solve = surgery.solve_shapes
-    monkeypatch.setattr(surgery, "solve_shapes", lambda u, v: calls.append(1) or solve(u, v))
+    solve = surgery._solve
+    monkeypatch.setattr(surgery, "_solve", lambda u, v: calls.append(1) or solve(u, v))
     structure = solve_cone_structure(None, Slope.make(1, 0), 0.5)
     # 40 solves when each accepted Newton point was solved a second time, 33
     # when each solve re-solved its start and theta began at a step of 0.01,
@@ -370,13 +371,31 @@ def test_each_chart_point_is_solved_and_continued_once(monkeypatch):
     import conetube.surgery as surgery
 
     solves, continued = [], []
-    solve, logs = surgery.solve_shapes, surgery.cusp_logs
-    monkeypatch.setattr(surgery, "solve_shapes", lambda *a: solves.append(1) or solve(*a))
+    solve, logs = surgery._solve, surgery.cusp_logs
+    monkeypatch.setattr(surgery, "_solve", lambda *a: solves.append(1) or solve(*a))
     monkeypatch.setattr(surgery, "cusp_logs", lambda *a: continued.append(1) or logs(*a))
     solve_cone_structure(None, Slope.make(1, 0), 0.5)
     # one solve and one set of cusp logs per chart point that Newton visits
     # past its start: theta reaches 0.5 in one step of six points
     assert (len(solves), len(continued)) == (6, 6)
+
+
+def test_a_newton_solve_forms_eigenvalues_only_for_the_point_it_returns(monkeypatch):
+    import conetube.surgery as surgery
+
+    calls, eigenvalues = [], surgery._exp_eigenvalues
+    monkeypatch.setattr(surgery, "_exp_eigenvalues", lambda x: calls.append(1) or eigenvalues(x))
+    structure = solve_cone_structure(None, Slope.make(1, 0), 0.5)
+    # of the six chart points Newton visits, only the returned one gets eigenvalues
+    assert len(calls) == 1
+    assert structure.point.eigenvalues == eigenvalues(_logs(structure.point))
+
+
+def test_the_complete_structures_gradients_are_its_log_gradients_bit_for_bit():
+    import conetube.surgery as surgery
+
+    # repr is exact and tells a zero's sign
+    assert repr(surgery._COMPLETE_GRADIENTS) == repr(log_eigenvalue_gradients(BASE_SHAPES))
 
 
 REFUSED = {
@@ -499,8 +518,8 @@ def test_the_whole_deformation_step_equals_the_small_step_walk():
 def test_a_cone_structure_takes_one_newton_solve(monkeypatch, slope1, slope2, theta, points):
     import conetube.surgery as surgery
 
-    calls, chart_point = [], surgery._chart_point
-    monkeypatch.setattr(surgery, "_chart_point", lambda u, v: calls.append(1) or chart_point(u, v))
+    calls, solve = [], surgery._solve
+    monkeypatch.setattr(surgery, "_solve", lambda u, v: calls.append(1) or solve(u, v))
     s1 = None if slope1 is None else Slope.make(*slope1)
     solve_cone_structure(s1, Slope.make(*slope2), theta)
     assert len(calls) == points
