@@ -36,6 +36,7 @@ _SLOPE_HINT_RELATIVE = 0.5
 # the largest degree in l or m that a polynomial may carry: its expansion
 # takes binomials of that size, which outgrow a float or the time of a call
 _MAX_DEGREE = 1000
+UNFILLED_A1 = 2 + 2j  # a1 of the unfilled cusp: picks its branch of the A-polynomial
 
 
 class CurveError(ValueError):

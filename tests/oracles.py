@@ -10,13 +10,13 @@ the tube radius, branch continuation along a whole path, the hyperbolic
 distance between two geodesics from their cross-ratio with the tube
 radius as half the distance from the core axis to its tied translate
 (criterion 10's geometry oracle), a cone structure reached by small
-continuation steps, the k1scan slopes listed pair by pair, and the
-exponential of a jet, against which ``jet_log`` and ``compose`` are
-checked. None of them is used by the library. Beside them live the
-test-only helpers that the library no longer exports: the longitude
-eigenvalue of the family, the cusp relation residuals, and a chart point
-with its eigenvalues and its exact filling Jacobian, which the library's
-Newton evaluates in one pass.
+continuation steps, the k1scan slopes listed pair by pair with their k0
+and k1 by one row of jets per slope, and the exponential of a jet,
+against which ``jet_log`` and ``compose`` are checked. None of them is
+used by the library. Beside them live the test-only helpers that the
+library no longer exports: the longitude eigenvalue of the family, the
+cusp relation residuals, and a chart point with its eigenvalues and its
+exact filling Jacobian, which the library's Newton evaluates in one pass.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from conetube.surgery import (
     _COMPLETE,
     _TAU_STEP_MIN,
     _THETA_STEP_MIN,
+    CurveJets,
     SolvedStructure,
     SurgeryError,
     VarietyPoint,
@@ -72,8 +73,9 @@ from conetube.surgery import (
     _pinned_meridian,
     _second_cusp_residual,
     _within,
+    cone_jets,
 )
-from conetube.tube import TubeError
+from conetube.tube import TubeError, _mu_hat_sq_jet
 
 # ---------------------------------------------------------------------------
 # small-step continuation
@@ -472,6 +474,22 @@ def coprime_slope_pairs(max_norm: int) -> list[tuple[int, int]]:
             if math.gcd(p, q) == 1:
                 out.append((p, q))
     return sorted(out)
+
+
+def jet_k_expansions(curve, p, q, block: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """(k0, k1) of every slope by its own row of the order-3 jet route, in blocks of rows.
+
+    What ``k_expansions`` read before it read the curve's quartic: one row
+    of theta-jets per slope, with no guard beyond the jets' own.
+    """
+    jets = CurveJets.of(curve)
+    pf, qf = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    k0, k1 = np.empty(len(pf)), np.empty(len(pf))
+    for start in range(0, len(pf), block):
+        rows = slice(start, start + block)
+        c = _mu_hat_sq_jet(*cone_jets(jets, pf[rows], qf[rows])).coeffs
+        k0[rows], k1[rows] = c[:, 0].real, c[:, 2].real
+    return k0, k1
 
 
 # ---------------------------------------------------------------------------

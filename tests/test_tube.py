@@ -11,6 +11,8 @@ from conetube import (
     Slope,
     SurgeryError,
     TubeError,
+    expand_from_samples,
+    filled_curve_sampler,
     fit_k_expansion,
     k1_range_check,
     k_expansion_closed_form,
@@ -21,6 +23,7 @@ from conetube import (
     tube_cosh2R,
     whitehead_k_reference,
 )
+from conetube import tube
 from conetube.jets import JetError
 from conetube.holonomy import peripheral_matrices, sl2_inverse, y_from_l2
 from tests.oracles import (
@@ -28,7 +31,9 @@ from tests.oracles import (
     _axis_distance_R,
     _mobius,
     _rep_at_structure,
+    coprime_slope_pairs,
     cross_ratio,
+    jet_k_expansions,
     line_distance,
     tube_cosh2R_trace_form,
 )
@@ -282,7 +287,7 @@ def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
     with pytest.raises(JetError) as one:
         k_expansion_closed_form(curve, bad)
     p, q = _columns(_coprime_slopes(30))
-    p.insert(300, bad.p)  # second block of the scan
+    p.insert(300, bad.p)  # mid-scan: the refusal names the slope, not its row
     q.insert(300, bad.q)
     with pytest.raises(JetError) as scan:
         k_expansions(curve, p, q)
@@ -294,7 +299,7 @@ def test_k_expansions_name_the_slope_a_guard_refused(poly_curve):
 def test_k_expansions_refuse_what_a_slope_refuses(poly_curve):
     curve = poly_curve.symmetrized()
     p, q = _columns(_coprime_slopes(30))
-    p.insert(300, 6)  # second block of the scan
+    p.insert(300, 6)  # mid-scan: the refusal names the slope, not its row
     q.insert(300, 4)
     with pytest.raises(SurgeryError) as scan:
         k_expansions(curve, p, q)
@@ -304,6 +309,61 @@ def test_k_expansions_refuse_what_a_slope_refuses(poly_curve):
     with pytest.raises(TubeError, match="2 numerators against 1 denominators"):
         k_expansions(curve, [1, 0], [0])
 
+
+def test_k_expansions_refuse_the_first_bad_slope_whatever_its_guard(poly_curve):
+    curve = poly_curve.symmetrized()
+    p, q = _columns(_coprime_slopes(30))
+    with pytest.raises(JetError, match=r"^slope \(1, 10{70}\): "):
+        k_expansions(curve, p[:300] + [1, 6] + p[300:], q[:300] + [10**70, 4] + q[300:])
+    with pytest.raises(SurgeryError, match=r"^slope \(6, 4\) is not coprime$"):
+        k_expansions(curve, p[:300] + [6, 1] + p[300:], q[:300] + [4, 10**70] + q[300:])
+
+
+@pytest.fixture(scope="module")
+def k_curves(poly_curve):
+    """The unfilled curve and three filled stencil curves, each as sampled and symmetrized."""
+    curves = [poly_curve] + [
+        expand_from_samples(filled_curve_sampler(Slope.make(*s)), -1, -1)
+        for s in [(9, 1), (12, -5), (-40, 9)]
+    ]
+    return curves + [c.symmetrized() for c in curves]
+
+
+def test_k_expansions_equal_one_jet_row_per_slope(k_curves):
+    # k0 = |p + q a1|^2 / Im a1 and k1 = N(p, q) / |p + q a1|^4 on every slope
+    p, q = (np.array(c) for c in zip(*coprime_slope_pairs(200)))
+    assert len(p) == 24_464
+    for curve in k_curves:
+        k0, k1 = k_expansions(curve, p, q)
+        j0, j1 = jet_k_expansions(curve, p, q)
+        assert np.max(np.abs(k0 - j0) / np.abs(j0)) <= 1e-14, curve
+        assert np.max(np.abs(k1 - j1) / np.abs(j1)) <= 1e-12, curve
+
+
+def test_unfilled_quartic_is_the_reference_numerator(poly_curve):
+    curve = poly_curve.symmetrized()
+    # -12 N = p^4 + 8 p^3 q + 48 p^2 q^2 + 128 p q^3 + 128 q^4, ascending in p
+    numerator = -12.0 * np.array(tube._k_quartic(curve))
+    assert np.all(np.abs(numerator - (128, 128, 48, 8, 1)) <= 1e-13 * np.array((128, 128, 48, 8, 1)))
+    assert abs(k_expansion_closed_form(curve, Slope.make(1, 0)).k1 + 1 / 12) <= 1e-15
+    assert abs(k_expansion_closed_form(curve, Slope.make(0, 1)).k1 + 1 / 6) <= 1e-15
+
+
+def test_a_curve_expands_its_node_jets_once(poly_curve, monkeypatch):
+    rows = []
+    expand = tube.cone_jets
+
+    def counted(jets, p, q):
+        rows.append(len(p))
+        return expand(jets, p, q)
+
+    monkeypatch.setattr(tube, "cone_jets", counted)
+    tube._k_quartic.cache_clear()
+    # equal curves, not the same object: the memo reads the curve's value
+    for curve in (poly_curve.symmetrized(), poly_curve.symmetrized()):
+        k_expansions(curve, *_columns(_coprime_slopes(30)))
+        k_expansion_closed_form(curve, Slope.make(3, 7))
+    assert rows == [5]
 
 def _exact_k(p: int, q: int) -> tuple[Fraction, Fraction]:
     """``whitehead_k_reference`` in exact rationals, for slopes beyond floats' reach."""
