@@ -310,8 +310,8 @@ def _coprime_slopes(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # k1scan's largest --max: 0.61 M slopes, whose _coprime_slopes box and k_expansions
-# columns stay near 16 and 5 MiB each; --max 1000 takes 1.2-1.7 s and 146.5 MiB peak
-# RSS on a 2-vCPU host (3.3-4.0 s and 135.8 MiB with a jet row per slope)
+# columns stay near 16 and 5 MiB each; --max 1000 takes 1.3-2.5 s and 150 MiB peak
+# RSS on a 2-vCPU host, most of it in writing the JSON text
 _K1SCAN_MAX_NORM = 1000
 
 # one k1scan entry laid out as json.dump(payload, indent=2) lays it out:

@@ -143,12 +143,24 @@ class ConeExpansion:
 MAX_CONE_NORM = 1e60
 
 
+def _check_curve(curve: GeometricCurve) -> None:
+    """Refuse a curve that no expansion reads: off base (-1, -1), off the involution, or real a1."""
+    if (curve.m0, curve.l0) != (-1, -1):
+        raise SurgeryError("cone expansion implemented only at base (-1, -1)")
+    if abs(curve.involution_defect()) > TOLERANCES.involution:
+        raise SurgeryError(
+            f"curve violates involution constraint by {curve.involution_defect()!r}"
+        )
+    if curve.a1.imag == 0:
+        raise SurgeryError("curve slope a1 must have nonzero imaginary part")
+
+
 @dataclasses.dataclass(frozen=True)
 class CurveJets:
     """The slope-free jets in dm = m + 1 that every cone expansion reads.
 
-    ``of`` runs the curve guards of ``cone_expansion`` once, so a scan
-    builds these once and expands each block of slopes from them.
+    ``of`` runs the curve guards (``_check_curve``) once, and
+    ``cone_expansion`` expands its whole batch of slopes from one of these.
     """
 
     curve: GeometricCurve
@@ -157,14 +169,7 @@ class CurveJets:
 
     @classmethod
     def of(cls, curve: GeometricCurve) -> "CurveJets":
-        if (curve.m0, curve.l0) != (-1, -1):
-            raise SurgeryError("cone expansion implemented only at base (-1, -1)")
-        if abs(curve.involution_defect()) > TOLERANCES.involution:
-            raise SurgeryError(
-                f"curve violates involution constraint by {curve.involution_defect()!r}"
-            )
-        if curve.a1.imag == 0:
-            raise SurgeryError("curve slope a1 must have nonzero imaginary part")
+        _check_curve(curve)
         dl = curve.series_jet("dm")
         # -m = 1 - dm and -l = 1 - dl, both 1 at the base
         logs = jet_log(1.0 - Jet(np.stack([variable("dm", dl.order).coeffs, dl.coeffs]), "dm"), 0.0)

@@ -16,17 +16,26 @@ for the dual (r, s) of the slope, taken from the branch-continued logs
 the solver carries. From R, t, and the cone angle theta: meridian length
 mu = theta sinh R, tube-boundary area theta t sinh R cosh R, and the
 normalized square mu_hat^2 = theta tanh(R)/t, whose small-angle expansion
-mu_hat^2 = k0 + k1 theta^2 is produced both numerically and by a jet
-pipeline on the geometric curve. The jets give k0 = |p + q a1|^2 / Im a1
-and k1 = N(p, q) / |p + q a1|^4, N a real quartic: one jet row per slope
-matched that within 1.1e-14 relative on the 24,464 coprime slopes of norm
-<= 200 of the unfilled and filled (9, 1), (12, -5), (-40, 9), (8, 3) curves.
+mu_hat^2 = k0 + k1 theta^2 is produced numerically (``fit_k_expansion``)
+and in closed form from the curve's (a1, a2, a3) (``k_expansions``). With
+w = p + q a1 and c the cubic coefficient of the curve's log-series,
+log(-l) = a1 u + b u^2 + c u^3 + O(u^4) with u = log(-m),
+
+    c  = (2 a1^3 - 3 a1^2 + 3 a1 a2 + a1 - 3 a2 + a3) / 6,
+    k0 = |w|^2 / |Im a1|,
+    k1 = -|a1 - 2| / (8 |Im a1|) + Im(c conj(w)^4) / (4 Im a1 |Im a1| |w|^4):
+
+the first term of k1 comes from the tube radius and does not depend on
+the slope, the second from the core length. One row of order-3 theta-jets
+per slope (tests/oracles.py) matches these within 2.9e-15 relative on the
+24,464 coprime slopes of norm <= 200 of the unfilled curve and the filled
+(9, 1), (12, -5), (-40, 9) stencil curves, symmetrized and not. On the
+unfilled curve, a1 = 2 + 2i and c = 2i/3, so k1 = -1/8 + Re(w^4) / (24 |w|^4).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Sequence
 
@@ -35,14 +44,13 @@ import numpy as np
 from .config import TOLERANCES
 from .curves import UNFILLED_A1, GeometricCurve, expand_from_polynomial, whitehead_a_polynomial
 from .holonomy import y_from_l2
-from .jets import Jet, JetError, jet_sqrt, real_modulus_jet
+from .jets import JetError
 from .surgery import (
     MAX_CONE_NORM,
-    CurveJets,
     Slope,
     SolvedStructure,
     SurgeryError,
-    cone_jets,
+    _check_curve,
     solve_cone_structure,
 )
 
@@ -128,89 +136,65 @@ class KExpansion:
     source: str
 
 
-def _mu_hat_sq_jet(m: Jet, l: Jet, core: Jet) -> Jet:
-    """Jet of mu_hat^2 in theta, one row per slope, from the jets of ``cone_jets``.
+def _k1_form(curve: GeometricCurve) -> tuple[float, complex]:
+    """(centre, c) of the module docstring's k1: its slope-free term and the log-series cubic.
 
-    Every absolute value is expanded with its leading theta-power factored
-    explicitly (the commutator trace and its denominator both vanish to
-    first order), or is a square's: |tr^2 g - 4| = |m - 1/m|^2. No
-    precomputed expansion constants enter.
+    c takes the general form, not its short form on the involution
+    a2 = a1 - a1^2, which a sampled curve meets only to about 1e-11.
     """
-    mm = m * m
-    num = (mm - 1.0) * (1.0 - l)
-    den = mm + l
-    # tr[w,g] - 2 = -num/den; both factors vanish at theta = 0
-    trc = -(num.shift_down(1) / den.shift_down(1))
-    g = (mm - 1.0) / m  # m - 1/m, vanishing at theta = 0
-    s2 = g * g  # tr^2 g - 4
-
-    x = real_modulus_jet(trc, 0)
-    y = real_modulus_jet(s2 - trc, 0)
-    z = (g * g.conjugate_coefficients()).real_part()  # |g|^2 for real theta
-    tanh_sq = (x + y - z) / (x + y + z)
-    tanh_r = jet_sqrt(tanh_sq, 1.0)
-
-    # t = 2|K| and K vanishes at theta = 0, so t / theta = 2 sign(K_1) K / theta
-    k_over_theta = core.shift_down(1)
-    t_hat = k_over_theta * (2.0 * np.sign(k_over_theta[0].real))
-    return tanh_r / t_hat
-
-
-@functools.lru_cache(maxsize=64)
-def _k_quartic(curve: GeometricCurve) -> tuple[float, ...]:
-    """(c_0, ..., c_4) of N(p, q) = sum c_k p^k q^(4 - k) = k1 |p + q a1|^4, from node jets."""
-    # x = p/q at infinity, 0, -1, -2, -4: spread about x = -Re a1, where scans read N
-    p, q = np.array([[1, 0, -1, -2, -4], [0, 1, 1, 1, 1]])
-    jet = _mu_hat_sq_jet(*cone_jets(CurveJets.of(curve), p.astype(float), q.astype(float)))
-    c = jet.coeffs
-    stray = np.maximum(np.abs(c[:, 1]), jet.imag_max())
-    loud = stray > TOLERANCES.vanishing * np.maximum(1.0, np.abs(c[:, 0]))
-    if loud.any():
-        i = int(np.argmax(loud))
-        msg = f"slope ({p[i]}, {q[i]}): mu_hat^2 jet has stray odd/imaginary part {stray[i]:.3e}"
-        raise TubeError(msg)
-    monomials = p[:, None] ** np.arange(5) * q[:, None] ** np.arange(4, -1, -1)
-    return tuple(np.linalg.solve(monomials, c[:, 2].real * np.abs(p + q * curve.a1) ** 4).tolist())
+    a1, a2, a3 = curve.a1, curve.a2, curve.a3
+    c = (2 * a1**3 - 3 * a1**2 + 3 * a1 * a2 + a1 - 3 * a2 + a3) / 6
+    return -abs(a1 - 2) / (8 * abs(a1.imag)), c
 
 
 def k_expansions(
     curve: GeometricCurve, p: Sequence[int], q: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(k0, k1) float columns for the slopes (p[i], q[i]), read off the curve's quartic.
+    """(k0, k1) float columns for the slopes (p[i], q[i]), in closed form from (a1, a2, a3).
 
     ``p`` and ``q`` are integer columns (lists or integer arrays) of coprime
-    slopes within float range. k0 = |p + q a1|^2 / Im a1 and k1 = N(p, q) /
-    |p + q a1|^4 are read at (p, q) / (|p| + |q|), so no power overflows. The
-    first slope that is not coprime or above ``MAX_CONE_NORM`` is refused,
-    with the guard's exception type and the exact integers of the slope.
+    slopes within float range. With w = p + q a1 and the curve's log-series
+    coefficient c (``_k1_form``), k0 = |w|^2 / |Im a1| and
+    k1 = -|a1 - 2| / (8 |Im a1|) + Im(c conj(w)^4) / (4 Im a1 |Im a1| |w|^4),
+    read at (p, q) / (|p| + |q|), so no power overflows. The curve is
+    refused as ``cone_expansion`` refuses it, and then the first slope that
+    is not coprime or above ``MAX_CONE_NORM``, with the guard's exception
+    type and the exact integers of the slope.
     """
     if len(p) != len(q):
         raise TubeError(f"{len(p)} numerators against {len(q)} denominators")
+    _check_curve(curve)
     # a list may mix int64- and uint64-sized ints, which np.gcd cannot pair
     p, q = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in (p, q))
     x, y = np.array(p, dtype=float), np.array(q, dtype=float)
-    c, a1 = _k_quartic(curve), curve.a1
     shared = np.gcd(p, q) != 1
     bad = shared | (np.abs(x) > MAX_CONE_NORM - np.abs(y))
     if bad.any():
         i = int(np.argmax(bad))
         if shared[i]:
             raise SurgeryError(f"slope ({p[i]}, {q[i]}) is not coprime")
-        # cone_jets' guard: the quartic reads no slope its jets would refuse
+        # cone_jets' guard, kept so that no slope reads here what its jets would refuse
         reason = f"|p| + |q| above {MAX_CONE_NORM:.0e}, where the theta-jets underflow"
         raise JetError(f"slope ({p[i]}, {q[i]}): {reason}")
+    centre, c = _k1_form(curve)
+    a1 = curve.a1
     s = np.abs(x) + np.abs(y)
     x /= s  # in place: each column of a 0.6 M-slope scan is 5 MiB
     y /= s
-    d = (x + y * a1.real) ** 2 + (y * a1.imag) ** 2
-    n = sum(c[k] * x**k * y ** (4 - k) for k in range(5))
-    return s * s * d / a1.imag, n / (d * d)
+    x += y * a1.real  # w = x + iy = p + q a1 at (p, q) / (|p| + |q|)
+    y *= a1.imag
+    d = x * x + y * y  # |w|^2
+    r, t = x * x - y * y, -2.0 * x * y  # conj(w)^2 = r + it
+    k1 = c.imag * (r * r - t * t) + 2.0 * c.real * r * t  # Im(c conj(w)^4)
+    k1 /= 4 * a1.imag * abs(a1.imag) * d * d
+    return s * s * d / abs(a1.imag), k1 + centre
 
 
 def k_expansion_closed_form(curve: GeometricCurve, slope2: Slope) -> KExpansion:
-    """(k0, k1) of the tube quantities' jets on the curve: |p + q a1|^2 / Im a1, N / |p + q a1|^4.
+    """(k0, k1) of mu_hat^2 on the curve at one slope: the one-slope case of ``k_expansions``.
 
-    The one-slope case of ``k_expansions``.
+    ``source`` keeps the label "numeric-jet" that the CLI prints: it names
+    the curve's route, against ``whitehead_k_reference``'s "closed-form".
     """
     k0, k1 = k_expansions(curve, [slope2.p], [slope2.q])
     return KExpansion(k0=float(k0[0]), k1=float(k1[0]), slope2=slope2, source="numeric-jet")
@@ -250,37 +234,19 @@ def fit_k_expansion(
 
 
 def k1_range_check(samples: int = 1_000_000) -> tuple[float, float]:
-    """Extrema of the unfilled curve's k1 = N(x, 1) / D(x)^2 over slopes x = p/q.
+    """Extrema of the unfilled curve's k1 over all real second-cusp slopes, in closed form.
 
-    N is ``_k_quartic`` of the built-in polynomial's curve and D(x) = |x + a1|^2.
-    The interior extrema sit at the real roots of the derivative's numerator
-    N'D - 2ND' (D has no real root), and the x -> +-infinity limit is N's
-    leading coefficient. The real part of a complex root is just another
-    point of the line, so taking every root's real part cannot widen the
-    range. A dense grid on [-1e4, 1e4], graded toward the origin where the
-    structure lives, joins those values as a cross-check.
+    k1 depends on the slope only through 4 arg(p + q a1), so over real
+    slopes it fills [centre - radius, centre + radius] with centre
+    -|a1 - 2| / (8 |Im a1|) and radius |c| / (4 (Im a1)^2) (``_k1_form``),
+    both ends attained. The built-in polynomial's curve has a1 = 2 + 2i and
+    c = 2i/3: centre -1/8, radius 1/24, so [-1/6, -1/12]. The ends are
+    exact, so no grid is sampled: ``samples`` stays for its callers and
+    must be at least 1000.
     """
-    # only this check needs numpy.polynomial; importing it here keeps it
-    # out of the package import
-    from numpy.polynomial import Polynomial
-
     if samples < 1000:
         raise TubeError("need at least 1000 samples")
     curve = expand_from_polynomial(whitehead_a_polynomial(), -1, -1, UNFILLED_A1).symmetrized()
-    num = Polynomial(_k_quartic(curve))
-    den = Polynomial((abs(curve.a1) ** 2, 2.0 * curve.a1.real, 1.0))
-
-    def k1(x: np.ndarray) -> np.ndarray:
-        return num(x) / den(x) ** 2
-
-    half = samples // 2
-    core = np.linspace(-50.0, 50.0, samples - half)
-    tails = np.concatenate(
-        [
-            -np.logspace(math.log10(50.0), 4.0, half // 2),
-            np.logspace(math.log10(50.0), 4.0, half - half // 2),
-        ]
-    )
-    critical = (num.deriv() * den - 2.0 * num * den.deriv()).roots().real
-    vals = np.concatenate([k1(core), k1(tails), k1(critical), num.coef[-1:]])
-    return float(vals.min()), float(vals.max())
+    centre, c = _k1_form(curve)
+    radius = abs(c) / (4 * curve.a1.imag**2)
+    return centre - radius, centre + radius

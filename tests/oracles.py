@@ -11,7 +11,8 @@ distance between two geodesics from their cross-ratio with the tube
 radius as half the distance from the core axis to its tied translate
 (criterion 10's geometry oracle), a cone structure reached by small
 continuation steps, the k1scan slopes listed pair by pair with their k0
-and k1 by one row of jets per slope, and the exponential of a jet,
+and k1 by one row of jets per slope (the jet of mu_hat^2 itself among
+them), and the exponential of a jet,
 against which ``jet_log`` and ``compose`` are checked. None of them is
 used by the library. Beside them live the test-only helpers that the
 library no longer exports: the longitude eigenvalue of the family, the
@@ -57,7 +58,7 @@ from conetube.holonomy import (
     trace_identity_m1,
     y_from_l2,
 )
-from conetube.jets import BranchError, Jet, _refuse, constant
+from conetube.jets import BranchError, Jet, _refuse, constant, jet_sqrt, real_modulus_jet
 from conetube.surgery import (
     _COMPLETE,
     _TAU_STEP_MIN,
@@ -75,7 +76,7 @@ from conetube.surgery import (
     _within,
     cone_jets,
 )
-from conetube.tube import TubeError, _mu_hat_sq_jet
+from conetube.tube import TubeError
 
 # ---------------------------------------------------------------------------
 # small-step continuation
@@ -476,18 +477,47 @@ def coprime_slope_pairs(max_norm: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def mu_hat_sq_jet(m: Jet, l: Jet, core: Jet) -> Jet:
+    """Jet of mu_hat^2 in theta, one row per slope, from the jets of ``cone_jets``.
+
+    Every absolute value is expanded with its leading theta-power factored
+    explicitly (the commutator trace and its denominator both vanish to
+    first order), or is a square's: |tr^2 g - 4| = |m - 1/m|^2. No
+    precomputed expansion constants enter.
+    """
+    mm = m * m
+    num = (mm - 1.0) * (1.0 - l)
+    den = mm + l
+    # tr[w,g] - 2 = -num/den; both factors vanish at theta = 0
+    trc = -(num.shift_down(1) / den.shift_down(1))
+    g = (mm - 1.0) / m  # m - 1/m, vanishing at theta = 0
+    s2 = g * g  # tr^2 g - 4
+
+    x = real_modulus_jet(trc, 0)
+    y = real_modulus_jet(s2 - trc, 0)
+    z = (g * g.conjugate_coefficients()).real_part()  # |g|^2 for real theta
+    tanh_sq = (x + y - z) / (x + y + z)
+    tanh_r = jet_sqrt(tanh_sq, 1.0)
+
+    # t = 2|K| and K vanishes at theta = 0, so t / theta = 2 sign(K_1) K / theta
+    k_over_theta = core.shift_down(1)
+    t_hat = k_over_theta * (2.0 * np.sign(k_over_theta[0].real))
+    return tanh_r / t_hat
+
+
 def jet_k_expansions(curve, p, q, block: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """(k0, k1) of every slope by its own row of the order-3 jet route, in blocks of rows.
 
-    What ``k_expansions`` read before it read the curve's quartic: one row
-    of theta-jets per slope, with no guard beyond the jets' own.
+    What ``k_expansions`` reads in closed form from the curve's (a1, a2, a3),
+    read here off one row of theta-jets per slope (``mu_hat_sq_jet``), with
+    no guard beyond the jets' own.
     """
     jets = CurveJets.of(curve)
     pf, qf = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     k0, k1 = np.empty(len(pf)), np.empty(len(pf))
     for start in range(0, len(pf), block):
         rows = slice(start, start + block)
-        c = _mu_hat_sq_jet(*cone_jets(jets, pf[rows], qf[rows])).coeffs
+        c = mu_hat_sq_jet(*cone_jets(jets, pf[rows], qf[rows])).coeffs
         k0[rows], k1[rows] = c[:, 0].real, c[:, 2].real
     return k0, k1
 

@@ -34,6 +34,7 @@ GONE = {
     tube: [
         "core_length", "commutator_trace_minus2_from_eigenvalues", "monotonicity_report",
         "tube_cosh2R_trace_form", "cross_ratio", "line_distance", "INFINITY", "_homogeneous",
+        "_k_quartic", "_mu_hat_sq_jet",
     ],
     curves: ["involution_defect", "_branch_coefficients"],
     curves.GeometricCurve: ["is_involution_symmetric"],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -23,8 +25,10 @@ from conetube import (
     tube_cosh2R,
     whitehead_k_reference,
 )
-from conetube import tube
+from conetube import cli, surgery, tube
+from conetube.cli import main
 from conetube.jets import JetError
+from conetube.surgery import CurveJets
 from conetube.holonomy import peripheral_matrices, sl2_inverse, y_from_l2
 from tests.oracles import (
     INFINITY,
@@ -340,30 +344,58 @@ def test_k_expansions_equal_one_jet_row_per_slope(k_curves):
         assert np.max(np.abs(k1 - j1) / np.abs(j1)) <= 1e-12, curve
 
 
-def test_unfilled_quartic_is_the_reference_numerator(poly_curve):
+def test_unfilled_curve_gives_the_exact_centre_and_radius(poly_curve):
+    # the unfilled log-series: log(-l) = (2 + 2i) u + (2i/3) u^3 + O(u^5), u = log(-m)
     curve = poly_curve.symmetrized()
-    # -12 N = p^4 + 8 p^3 q + 48 p^2 q^2 + 128 p q^3 + 128 q^4, ascending in p
-    numerator = -12.0 * np.array(tube._k_quartic(curve))
-    assert np.all(np.abs(numerator - (128, 128, 48, 8, 1)) <= 1e-13 * np.array((128, 128, 48, 8, 1)))
+    centre, c = tube._k1_form(curve)
+    assert abs(c - 2j / 3) <= 1e-15
+    assert abs(centre + 1 / 8) <= 1e-15
+    assert abs(abs(c) / (4 * curve.a1.imag**2) - 1 / 24) <= 1e-15
     assert abs(k_expansion_closed_form(curve, Slope.make(1, 0)).k1 + 1 / 12) <= 1e-15
     assert abs(k_expansion_closed_form(curve, Slope.make(0, 1)).k1 + 1 / 6) <= 1e-15
 
 
-def test_a_curve_expands_its_node_jets_once(poly_curve, monkeypatch):
-    rows = []
-    expand = tube.cone_jets
+def test_a_scan_expands_no_jet(poly_curve, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scan expanded theta-jets")
 
-    def counted(jets, p, q):
-        rows.append(len(p))
-        return expand(jets, p, q)
+    for module in (surgery, tube):  # wherever the name is bound
+        if hasattr(module, "cone_jets"):
+            monkeypatch.setattr(module, "cone_jets", refuse)
+    assert main(["k1scan", "--max", "30", "--output", str(tmp_path / "scan.json")]) == 0
+    assert len(json.loads((tmp_path / "scan.json").read_text())["entries"]) == 556
+    # a curve no other test reads: nothing about it can have been kept from before
+    fresh = dataclasses.replace(poly_curve, a3=poly_curve.a3 + 1e-3).symmetrized()
+    k_expansions(fresh, *_columns(_coprime_slopes(30)))
+    with pytest.raises(AssertionError, match="expanded theta-jets"):
+        surgery.cone_expansion(fresh, Slope.make(1, 0))
 
-    monkeypatch.setattr(tube, "cone_jets", counted)
-    tube._k_quartic.cache_clear()
-    # equal curves, not the same object: the memo reads the curve's value
-    for curve in (poly_curve.symmetrized(), poly_curve.symmetrized()):
-        k_expansions(curve, *_columns(_coprime_slopes(30)))
-        k_expansion_closed_form(curve, Slope.make(3, 7))
-    assert rows == [5]
+
+def test_k_expansions_refuse_a_curve_as_its_jets_do(poly_curve):
+    curve = poly_curve.symmetrized()
+    for bad in (
+        dataclasses.replace(curve, m0=1),
+        dataclasses.replace(curve, a2=curve.a2 + 1e-6),
+        dataclasses.replace(curve, a1=2.0 + 0j).symmetrized(),
+    ):
+        with pytest.raises(SurgeryError) as jets:
+            CurveJets.of(bad)
+        with pytest.raises(SurgeryError) as scan:
+            k_expansions(bad, [1, 0], [0, 1])
+        assert str(scan.value) == str(jets.value)
+
+
+def test_k_expansions_equal_the_jets_on_the_conjugate_curve(poly_curve):
+    # the mirror image: a1 -> conj(a1) leaves mu_hat^2, so k0 > 0 and k1, unchanged
+    curve = poly_curve.symmetrized()
+    mirror = dataclasses.replace(
+        curve, a1=curve.a1.conjugate(), a2=curve.a2.conjugate(), a3=curve.a3.conjugate()
+    )
+    p, q = (np.array(c) for c in zip(*coprime_slope_pairs(30)))
+    for k, j in zip(k_expansions(mirror, p, q), jet_k_expansions(mirror, p, q)):
+        assert np.max(np.abs(k - j) / np.abs(j)) <= 1e-13
+    assert np.array_equal(k_expansions(mirror, p, q)[0], k_expansions(curve, p, q)[0])
+
 
 def _exact_k(p: int, q: int) -> tuple[Fraction, Fraction]:
     """``whitehead_k_reference`` in exact rationals, for slopes beyond floats' reach."""
